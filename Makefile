@@ -3,7 +3,7 @@
 GO ?= go
 OUT ?= bench-out
 
-.PHONY: build vet test race race-diff race-shard race-serve serve-smoke serve-load bench bench-engine bench-obs bench-step bench-kernel fuzz-kernel sweep sweep-scale sweep-power-smoke sweep-kernel sweep-sparsify sweep-mega sweep-mega-smoke trace-smoke sparsify-smoke docs-check clean
+.PHONY: build vet test race race-shard race-serve serve-smoke serve-load bench bench-engine bench-obs bench-step bench-kernel fuzz-kernel sweep sweep-scale sweep-power-smoke sweep-kernel sweep-sparsify sweep-mega sweep-mega-smoke trace-smoke sparsify-smoke docs-check clean
 
 build:
 	$(GO) build ./...
@@ -17,25 +17,19 @@ test: vet docs-check
 race:
 	$(GO) test -race ./...
 
-# Race-detector pass over the engine differential and the step-vs-blocking
-# equivalence tests only (small n, a few minutes) — the CI race job.
-race-diff:
-	$(GO) test -race -count=1 \
-		-run 'TestEngineDifferentialAllAlgorithms|TestEngineAxisSweepIsDifferential|TestStep.*MatchesBlocking|TestStepPrimitivesMatchBlocking|TestRegistryRunsNativelyOnBatchEngine|TestSharded' \
-		./internal/congest/... ./internal/core/ ./internal/harness/
-
-# Race-detector pass over the shard barrier specifically: the sharded batch
-# engine's worker pool under adversarial shard sizes (empty shards, one-node
-# shards), plus the harness-level sharded determinism differential — the CI
-# race-shard job.
+# Race-detector pass over the shard barrier, the only concurrent code in the
+# simulator: the sharded engine's worker pool under adversarial shard sizes
+# (empty shards, one-node shards), the sequential-vs-sharded random-traffic
+# differential, plus the harness-level sharded determinism differential —
+# the CI race-shard job.
 race-shard:
 	$(GO) test -race -count=1 \
-		-run 'TestSharded|TestNegativeShardsRejected' \
+		-run 'TestSharded|TestNegativeShardsRejected|TestEngineDifferentialRandomTraffic' \
 		./internal/congest/ ./internal/harness/
 
 # Race-detector pass over the serving layer: the churn property tests
-# (incremental Gʳ maintenance byte-identical to full recomputes, engine and
-# shard invariance on churned instances), the component-cached exact solver,
+# (incremental Gʳ maintenance byte-identical to full recomputes, shard
+# invariance on churned instances), the component-cached exact solver,
 # the overlay/incremental-power graph layer, and harness cancellation — the
 # CI serve-smoke job's second leg.
 race-serve:
@@ -59,10 +53,10 @@ serve-load:
 bench:
 	$(GO) test -bench=. -benchmem -run='^$$' ./...
 
-# Engine-mode comparison: goroutine vs batch vs native step programs on the
-# simulator's hot loop (see internal/congest/bench_test.go).
+# Engine hot loop: a blocking handler through the coroutine adapter vs the
+# native step program (see internal/congest/bench_test.go).
 bench-engine:
-	$(GO) test -bench=BenchmarkEngineModes -benchmem -run='^$$' ./internal/congest/
+	$(GO) test -bench='BenchmarkEngine$$' -benchmem -run='^$$' ./internal/congest/
 
 # Observability overhead on the engine hot loop: nil tracer ("off") vs
 # span-only vs full per-round accounting (see
@@ -72,7 +66,7 @@ bench-engine:
 bench-obs:
 	$(GO) test -bench=BenchmarkObs -benchmem -run='^$$' ./internal/congest/
 
-# Per-algorithm comparison of the batch engine's two execution paths:
+# Per-algorithm comparison of the engine's two execution paths:
 # coroutine-adapted blocking reference vs native step program
 # (see internal/core/step_bench_test.go).
 bench-step:
@@ -95,15 +89,15 @@ SPEC ?= specs/podc20-sweep.json
 sweep:
 	$(GO) run ./cmd/powerbench -spec $(SPEC) -out $(OUT)
 
-# Thousand-node engine-comparison sweep over all seven distributed
-# algorithms (regenerates BENCH_scale.json's numbers; single worker so
-# per-job wall clocks are uncontended).
+# Thousand-node sweep over all seven distributed algorithms (the workload
+# behind BENCH_scale.json; single worker so per-job wall clocks are
+# uncontended).
 sweep-scale:
 	$(GO) run ./cmd/powerbench -spec specs/step-sweep.json -workers 1 -out $(OUT)
 
 # CI gate for the (algorithm × power) matrix: a small distributed power
-# sweep (n ≤ 200, r = 1…4, both engines) that fails on any job error or any
-# solution that is not a feasible cover/dominating set of its Gʳ.
+# sweep (n = 60, r = 1…4) that fails on any job error or any solution that
+# is not a feasible cover/dominating set of its Gʳ.
 sweep-power-smoke:
 	$(GO) run ./cmd/powerbench -spec specs/power-smoke.json -strict -quiet -out $(OUT)
 
@@ -131,7 +125,7 @@ sparsify-smoke:
 		-out $(OUT) -trace $(OUT)/sparsify-traces
 	$(GO) run ./cmd/powertrace -check $(OUT)/sparsify-traces
 
-# Large-n sweeps over the sharded batch engine (regenerate BENCH_mega.json
+# Large-n sweeps over the sharded engine (regenerate BENCH_mega.json
 # and BENCH_mega-1m.json): MDS end to end plus the MVC Lemma-6 shortcut
 # rows on a sparse 100k instance with a shard-count axis, then the 300k
 # and million-node shortcut cells. Expect about an hour on one core (the

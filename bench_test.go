@@ -1,8 +1,7 @@
 package powergraph
 
-// The benchmark harness regenerates every experiment in EXPERIMENTS.md
-// (one bench per theorem/figure of the paper; see DESIGN.md §4 for the
-// index). Custom metrics attach the distributed cost measures that wall
+// One benchmark per experiment of cmd/experiments, i.e. per theorem or
+// figure of the paper (E1 is Theorem 1, and so on). Custom metrics attach the distributed cost measures that wall
 // time does not capture: simulated rounds, delivered bits, cut traffic,
 // and approximation ratios.
 
@@ -449,7 +448,7 @@ func BenchmarkAblationPhase1(b *testing.B) {
 	}
 }
 
-// Ablation: simulator engine throughput (barrier + delivery cost per
+// Ablation: simulator engine throughput (scheduling + delivery cost per
 // node-round).
 func BenchmarkAblationEngineThroughput(b *testing.B) {
 	g := Grid(10, 10)

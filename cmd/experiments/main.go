@@ -1,7 +1,6 @@
-// Command experiments regenerates every experiment table in EXPERIMENTS.md:
-// one experiment per theorem/figure of "Distributed Approximation on Power
-// Graphs" (PODC 2020). Each experiment prints the paper's claim and the
-// measured rows.
+// Command experiments runs one experiment per theorem/figure of
+// "Distributed Approximation on Power Graphs" (PODC 2020) and prints each
+// experiment's table to stdout: the paper's claim and the measured rows.
 //
 // Usage:
 //

@@ -12,9 +12,9 @@
 // is a typed JSON record, files open with a job header and close with a
 // job-end seal, round events are monotone from zero and account for every
 // counted round, their sums reproduce the run-end totals exactly, and every
-// span instance closes with begin ≤ end inside the run's round range. Span
-// mark order within a round is unspecified (the goroutine engine interleaves
-// nodes), so all span checks are order-insensitive aggregates. Centralized
+// span instance closes with begin ≤ end inside the run's round range. All
+// span checks are order-insensitive aggregates, so they hold for any order
+// of marks within a round. Centralized
 // jobs never touch the simulator; their files legitimately hold only the
 // job header and seal.
 package main

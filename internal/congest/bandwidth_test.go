@@ -8,8 +8,7 @@ import (
 )
 
 // TestRegistryBandwidthStaysLogarithmic is the CONGEST-budget property test:
-// every distributed registry algorithm, run under both engines at several
-// sizes and at every supported power r ∈ {1, 2, 3, 4}, must keep its
+// every distributed registry algorithm, run at several sizes and at every supported power r ∈ {1, 2, 3, 4}, must keep its
 // enforced per-message budget within a constant multiple of ⌈log₂ n⌉ bits —
 // the "O(log n)-bit messages" assumption all of the paper's round bounds
 // rely on, which the Gʳ generalization must not erode (its depth-r
@@ -25,8 +24,7 @@ import (
 // The gather axis runs every r ≠ 2 cell under both the sparsified
 // certificate gather and the legacy near flood, so the sparsified
 // primitives (StepSparsify labels, the routed candidate-min relays) prove
-// their O(log n)-bit claim on both engines at r ∈ {1, 3, 4} alongside the
-// legacy baseline.
+// their O(log n)-bit claim at r ∈ {1, 3, 4} alongside the legacy baseline.
 func TestRegistryBandwidthStaysLogarithmic(t *testing.T) {
 	const maxFactor = 8
 	var distributed []string
@@ -44,13 +42,12 @@ func TestRegistryBandwidthStaysLogarithmic(t *testing.T) {
 			{Name: "connected-gnp", MaxWeight: 20},
 			{Name: "random-tree"},
 		},
-		Sizes:       []int{10, 17, 33},
-		Powers:      []int{1, 2, 3, 4},
-		Algorithms:  distributed,
-		Epsilons:    []float64{0.5},
-		EngineModes: []string{"goroutine", "batch"},
-		Gathers:     []string{"sparsified", "legacy"},
-		OracleN:     0,
+		Sizes:      []int{10, 17, 33},
+		Powers:     []int{1, 2, 3, 4},
+		Algorithms: distributed,
+		Epsilons:   []float64{0.5},
+		Gathers:    []string{"sparsified", "legacy"},
+		OracleN:    0,
 	}
 	rep, err := harness.Run(t.Context(), spec, harness.RunOptions{})
 	if err != nil {
@@ -59,7 +56,7 @@ func TestRegistryBandwidthStaysLogarithmic(t *testing.T) {
 	if rep.Failed != 0 {
 		for _, r := range rep.Results {
 			if r.Error != "" {
-				t.Errorf("%s n=%d eng=%s: %s", r.Algorithm, r.N, r.Engine, r.Error)
+				t.Errorf("%s n=%d gather=%s: %s", r.Algorithm, r.N, r.Gather, r.Error)
 			}
 		}
 		t.Fatalf("%d jobs failed", rep.Failed)
@@ -69,21 +66,21 @@ func TestRegistryBandwidthStaysLogarithmic(t *testing.T) {
 		seenPowers[r.Power] = true
 		idw := congest.IDBits(r.N)
 		if r.Bandwidth > maxFactor*idw {
-			t.Errorf("%s n=%d r=%d eng=%s: budget %d bits exceeds %d·⌈log₂ n⌉ = %d",
-				r.Algorithm, r.N, r.Power, r.Engine, r.Bandwidth, maxFactor, maxFactor*idw)
+			t.Errorf("%s n=%d r=%d gather=%s: budget %d bits exceeds %d·⌈log₂ n⌉ = %d",
+				r.Algorithm, r.N, r.Power, r.Gather, r.Bandwidth, maxFactor, maxFactor*idw)
 		}
 		if !r.Verified {
-			t.Errorf("%s n=%d r=%d eng=%s: solution failed feasibility", r.Algorithm, r.N, r.Power, r.Engine)
+			t.Errorf("%s n=%d r=%d gather=%s: solution failed feasibility", r.Algorithm, r.N, r.Power, r.Gather)
 		}
 		// Internal consistency of the accounting: no round (and no total)
 		// can exceed what its message count allows under the budget.
 		if r.TotalBits > r.Messages*int64(r.Bandwidth) {
-			t.Errorf("%s n=%d r=%d eng=%s: totalBits %d > messages %d × budget %d",
-				r.Algorithm, r.N, r.Power, r.Engine, r.TotalBits, r.Messages, r.Bandwidth)
+			t.Errorf("%s n=%d r=%d gather=%s: totalBits %d > messages %d × budget %d",
+				r.Algorithm, r.N, r.Power, r.Gather, r.TotalBits, r.Messages, r.Bandwidth)
 		}
 		if r.MaxRoundBits > r.TotalBits {
-			t.Errorf("%s n=%d r=%d eng=%s: maxRoundBits %d > totalBits %d",
-				r.Algorithm, r.N, r.Power, r.Engine, r.MaxRoundBits, r.TotalBits)
+			t.Errorf("%s n=%d r=%d gather=%s: maxRoundBits %d > totalBits %d",
+				r.Algorithm, r.N, r.Power, r.Gather, r.MaxRoundBits, r.TotalBits)
 		}
 	}
 	for _, r := range []int{1, 2, 3, 4} {

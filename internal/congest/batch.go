@@ -8,31 +8,29 @@ import (
 	"powergraph/internal/obs"
 )
 
-// adapterRuns counts batch-engine runs that fell back to the coroutine
-// adapter for a blocking handler (Run with EngineBatch) rather than stepping
-// a native StepProgram (RunProgram).
+// adapterRuns counts calls of Run, which adapts a blocking handler through
+// coroutines, as opposed to RunProgram, which steps a native StepProgram.
 var adapterRuns atomic.Int64
 
-// AdapterRuns reports how many batch-engine runs in this process adapted a
-// blocking handler via coroutines instead of stepping native StepPrograms.
+// AdapterRuns reports how many runs in this process adapted a blocking
+// handler via coroutines instead of stepping native StepPrograms.
 // Every registry algorithm is a native step program, so sweeps keep this
 // counter flat; it exists so tests can prove a hot path carries no coroutine
-// adaptation (the adapter remains as a compatibility shim for user-supplied
-// blocking handlers).
+// adaptation (the adapter remains for the blocking reference programs and
+// user-supplied handlers).
 func AdapterRuns() int64 { return adapterRuns.Load() }
 
-// The batched event-driven engine: a single scheduler goroutine advances
-// every node once per round (in id order) and then moves all queued messages
-// from the flat per-node outbox slices into the inbox slices, reusing the
-// buffers across rounds. There is no barrier, no per-round map allocation,
-// and — for step programs — no goroutine per node at all; blocking handlers
-// are adapted by running each one inside an iter.Pull coroutine whose yield
-// points are its NextRound calls, so resuming a node for one round is a
-// direct coroutine switch (~100ns) rather than a trip through the runtime
-// scheduler.
+// The round loop: a single scheduler goroutine advances every node once per
+// round (in id order) and then moves all queued messages from the flat
+// per-node outbox slices into the inbox slices, reusing the buffers across
+// rounds. There is no per-round map allocation and — for step programs — no
+// goroutine per node at all; blocking handlers are adapted by running each
+// one inside an iter.Pull coroutine whose yield points are its NextRound
+// calls, so resuming a node for one round is a direct coroutine switch
+// (~100ns) rather than a trip through the runtime scheduler.
 //
-// Determinism and equivalence with the goroutine engine follow from three
-// invariants shared by both drivers: nodes only interact at round
+// Determinism at any shard count follows from three invariants shared by
+// the sequential and sharded drivers: nodes only interact at round
 // boundaries, senders are processed in id order (so inboxes are sorted by
 // sender), and a round is counted (and its messages delivered) exactly when
 // at least one node is still running after the sweep.
@@ -51,7 +49,7 @@ type stepper interface {
 	step() stepResult
 	// unwind releases any resource still held after an aborted run (the
 	// parked coroutine of a blocking handler); called once, after the
-	// engine's abort channel is closed.
+	// round loop returns.
 	unwind()
 }
 
@@ -61,30 +59,27 @@ type stepper interface {
 func (e *engine) runBatchToCompletion(steppers []stepper) error {
 	e.traceRunStart()
 	runErr := e.runBatch(steppers)
-	close(e.abort)
 	for _, s := range steppers {
 		s.unwind()
 	}
 	if runErr == nil {
-		runErr = e.getErr()
+		runErr = e.firstErr
 	}
 	e.traceRunEnd(runErr)
 	return runErr
 }
 
-// errMaxRounds builds the round-limit abort error; both batch drivers and
-// the goroutine loop report it identically.
+// errMaxRounds builds the round-limit abort error; the sequential and
+// sharded drivers report it identically.
 func errMaxRounds(limit int) error {
 	return fmt.Errorf("%w (%d)", ErrMaxRounds, limit)
 }
 
-// runBatch is the batch engine's round loop. Its control flow mirrors
-// (*engine).loop exactly — same round counting, same MaxRounds check
-// position, same "deliver only if someone is still running" rule — so the
-// two engines are behaviorally indistinguishable. With Config.Shards > 1
-// the sweep is delegated to the sharded driver (shard.go), which stages
-// per-shard side effects and merges them at the barrier so its output is
-// byte-identical to this sequential loop.
+// runBatch is the engine's round loop: check MaxRounds and cancellation,
+// step every live node, then deliver only if someone is still running.
+// With Config.Shards > 1 the sweep is delegated to the sharded driver
+// (shard.go), which stages per-shard side effects and merges them at the
+// barrier so its output is byte-identical to this sequential loop.
 func (e *engine) runBatch(steppers []stepper) error {
 	if e.shards > 1 {
 		return e.runBatchSharded(steppers)
@@ -113,8 +108,8 @@ func (e *engine) runBatch(steppers []stepper) error {
 				live--
 			}
 		}
-		if err := e.getErr(); err != nil {
-			return err
+		if e.firstErr != nil {
+			return e.firstErr
 		}
 		if live == 0 {
 			return nil
@@ -174,7 +169,7 @@ func (e *engine) deliverBatch() {
 	}
 }
 
-// coroStepper adapts a blocking Handler to the batch engine: the handler
+// coroStepper adapts a blocking Handler to the round loop: the handler
 // runs inside an iter.Pull coroutine, with NextRound implemented as the
 // coroutine's yield. Exactly one of (scheduler, node) is runnable at any
 // moment, so rounds stay strictly sequential in node-id order, and the

@@ -2,7 +2,6 @@ package congest
 
 import (
 	"errors"
-	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -13,223 +12,34 @@ import (
 
 func newRand(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }
 
-// runBoth executes the same handler under both engines and requires
-// identical outputs and statistics.
-func runBoth[T any](t *testing.T, cfg Config, handler Handler[T]) *Result[T] {
+// runShards executes the same handler sequentially and at shard counts 2
+// and 7, requiring identical outputs and statistics at every count.
+func runShards[T any](t *testing.T, cfg Config, handler Handler[T]) {
 	t.Helper()
-	cfg.Engine = EngineGoroutine
-	gor, gerr := Run(cfg, handler)
-	cfg.Engine = EngineBatch
-	bat, berr := Run(cfg, handler)
-	if (gerr == nil) != (berr == nil) {
-		t.Fatalf("engines disagree on error: goroutine=%v batch=%v", gerr, berr)
-	}
-	if gerr != nil {
-		t.Fatalf("run failed on both engines: %v", gerr)
-	}
-	if !reflect.DeepEqual(gor.Outputs, bat.Outputs) {
-		t.Fatalf("outputs differ:\ngoroutine: %v\nbatch:     %v", gor.Outputs, bat.Outputs)
-	}
-	if gor.Stats != bat.Stats {
-		t.Fatalf("stats differ:\ngoroutine: %+v\nbatch:     %+v", gor.Stats, bat.Stats)
-	}
-	return bat
-}
-
-func TestParseEngineMode(t *testing.T) {
-	for s, want := range map[string]EngineMode{
-		"": EngineGoroutine, "goroutine": EngineGoroutine,
-		"batch": EngineBatch, "event": EngineBatch, "event-driven": EngineBatch,
-	} {
-		got, err := ParseEngineMode(s)
-		if err != nil || got != want {
-			t.Errorf("ParseEngineMode(%q) = %v, %v; want %v", s, got, err, want)
-		}
-	}
-	if _, err := ParseEngineMode("threads"); err == nil {
-		t.Error("ParseEngineMode accepted an unknown mode")
-	}
-	if got := EngineBatch.String(); got != "batch" {
-		t.Errorf("EngineBatch.String() = %q", got)
-	}
-}
-
-func TestBatchRejectsUnknownEngine(t *testing.T) {
-	cfg := Config{Graph: graph.Path(2), Engine: EngineMode(7)}
-	if _, err := Run(cfg, func(nd *Node) (int, error) { return 0, nil }); err == nil {
-		t.Fatal("unknown engine mode accepted")
-	}
-}
-
-func TestBatchNeighborExchange(t *testing.T) {
-	g := graph.Grid(6, 7)
-	res := runBoth(t, Config{Graph: g, Seed: 3}, func(nd *Node) ([]int, error) {
-		var got []int
-		for r := 0; r < 10; r++ {
-			nd.Broadcast(NewIntWidth(int64(nd.ID()), IDBits(nd.N())))
-			nd.NextRound()
-			for _, in := range nd.Recv() {
-				got = append(got, int(in.Msg.(Int).V))
-			}
-		}
-		return got, nil
-	})
-	if res.Stats.Rounds != 10 {
-		t.Fatalf("rounds = %d, want 10", res.Stats.Rounds)
-	}
-	for v, got := range res.Outputs {
-		if len(got) != 10*g.Degree(v) {
-			t.Fatalf("node %d received %d ids, want %d", v, len(got), 10*g.Degree(v))
-		}
-	}
-}
-
-func TestBatchSendValidation(t *testing.T) {
-	g := graph.Path(3)
-	_, err := Run(Config{Graph: g, Engine: EngineBatch}, func(nd *Node) (int, error) {
-		if nd.ID() != 0 {
-			nd.NextRound()
-			return 0, nil
-		}
-		if err := nd.Send(0, Flag{}); err == nil {
-			return 0, errors.New("self-send accepted")
-		}
-		if err := nd.Send(5, Flag{}); err == nil {
-			return 0, errors.New("out of range accepted")
-		}
-		if err := nd.Send(2, Flag{}); err == nil {
-			return 0, errors.New("non-neighbor accepted in CONGEST")
-		}
-		if err := nd.Send(1, Flag{}); err != nil {
-			return 0, err
-		}
-		if err := nd.Send(1, Flag{}); err == nil {
-			return 0, errors.New("duplicate per-round send accepted")
-		}
-		// The duplicate guard must reset at the round boundary.
-		nd.NextRound()
-		if err := nd.Send(1, Flag{}); err != nil {
-			return 0, fmt.Errorf("fresh-round send rejected: %w", err)
-		}
-		return 0, nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestBatchEarlyFinisherAndDelivery(t *testing.T) {
-	g := graph.Path(3)
-	res := runBoth(t, Config{Graph: g}, func(nd *Node) (int, error) {
-		if nd.ID() == 0 {
-			nd.MustSend(1, Flag{})
-			return 1, nil // message queued in the final step must still arrive
-		}
-		nd.NextRound()
-		got := len(nd.Recv())
-		nd.NextRound()
-		return 10 + got, nil
-	})
-	if res.Outputs[0] != 1 || res.Outputs[1] != 11 || res.Outputs[2] != 10 {
-		t.Fatalf("outputs = %v", res.Outputs)
-	}
-	if res.Stats.Rounds != 2 {
-		t.Fatalf("rounds = %d, want 2", res.Stats.Rounds)
-	}
-}
-
-func TestBatchMaxRounds(t *testing.T) {
-	_, err := Run(Config{Graph: graph.Path(2), MaxRounds: 5, Engine: EngineBatch},
-		func(nd *Node) (int, error) {
-			for {
-				nd.NextRound()
-			}
-		})
-	if !errors.Is(err, ErrMaxRounds) {
-		t.Fatalf("err = %v, want ErrMaxRounds", err)
-	}
-}
-
-func TestBatchHandlerErrorAbortsRun(t *testing.T) {
-	sentinel := errors.New("boom")
-	_, err := Run(Config{Graph: graph.Cycle(4), Engine: EngineBatch}, func(nd *Node) (int, error) {
-		if nd.ID() == 2 {
-			return 0, sentinel
-		}
-		for {
-			nd.NextRound()
-		}
-	})
-	if err == nil || !errors.Is(err, sentinel) {
-		t.Fatalf("err = %v, want wrapped sentinel", err)
-	}
-}
-
-func TestBatchHandlerPanicBecomesError(t *testing.T) {
-	_, err := Run(Config{Graph: graph.Path(2), Engine: EngineBatch}, func(nd *Node) (int, error) {
-		if nd.ID() == 1 {
-			panic("algorithm bug")
-		}
-		nd.NextRound()
-		return 0, nil
-	})
-	if err == nil {
-		t.Fatal("expected error from panicking handler")
-	}
-}
-
-func TestBatchMustSendViolationAbortsRun(t *testing.T) {
-	_, err := Run(Config{Graph: graph.Path(3), Engine: EngineBatch}, func(nd *Node) (int, error) {
-		if nd.ID() == 0 {
-			nd.MustSend(2, Flag{}) // not a neighbor
-		}
-		for i := 0; i < 10; i++ {
-			nd.NextRound()
-		}
-		return 0, nil
-	})
-	if err == nil {
-		t.Fatal("expected error from MustSend violation")
-	}
-}
-
-func TestBatchCliqueAndCutAccounting(t *testing.T) {
-	g := graph.Path(4)
-	cut := bitset.FromIndices(4, 0, 1)
-	res := runBoth(t, Config{Graph: g, Model: CongestedClique, CutA: cut},
-		func(nd *Node) (int, error) {
-			nd.Broadcast(NewIntWidth(int64(nd.ID()), IDBits(nd.N())))
-			nd.NextRound()
-			return len(nd.Recv()), nil
-		})
-	if res.Stats.Messages != 12 {
-		t.Fatalf("messages = %d, want 12", res.Stats.Messages)
-	}
-	// 2×2 ordered pairs across the cut in each direction: 8 crossing messages.
-	if res.Stats.CutMessages != 8 {
-		t.Fatalf("cut messages = %d, want 8", res.Stats.CutMessages)
-	}
-}
-
-func TestBatchDeterministicRandomness(t *testing.T) {
-	g := graph.Cycle(6)
-	run := func(mode EngineMode) []int64 {
-		res, err := Run(Config{Graph: g, Seed: 99, Engine: mode}, func(nd *Node) (int64, error) {
-			return nd.Rand().Int63(), nil
-		})
+	var want *Result[T]
+	for _, shards := range []int{1, 2, 7} {
+		cfg.Shards = shards
+		got, err := Run(cfg, handler)
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("shards=%d: %v", shards, err)
 		}
-		return res.Outputs
-	}
-	if !reflect.DeepEqual(run(EngineBatch), run(EngineGoroutine)) {
-		t.Fatal("per-node random streams differ across engines")
+		if want == nil {
+			want = got
+			continue
+		}
+		if !reflect.DeepEqual(want.Outputs, got.Outputs) {
+			t.Fatalf("shards=%d outputs differ from sequential:\nsequential: %v\nsharded:    %v", shards, want.Outputs, got.Outputs)
+		}
+		if want.Stats != got.Stats {
+			t.Fatalf("shards=%d stats differ from sequential:\nsequential: %+v\nsharded:    %+v", shards, want.Stats, got.Stats)
+		}
 	}
 }
 
 // TestEngineDifferentialRandomTraffic drives an adversarial random workload
 // — per-node random sends, random message widths, random early exits —
-// through both engines and requires identical outputs and stats.
+// through the sequential sweep and the sharded sweep at 2 and 7 shards and
+// requires identical outputs and stats.
 func TestEngineDifferentialRandomTraffic(t *testing.T) {
 	for _, tc := range []struct {
 		name  string
@@ -245,7 +55,7 @@ func TestEngineDifferentialRandomTraffic(t *testing.T) {
 			for v := 0; v < tc.g.N()/2; v++ {
 				cut.Add(v)
 			}
-			runBoth(t, Config{Graph: tc.g, Model: tc.model, Seed: 42, CutA: cut},
+			runShards(t, Config{Graph: tc.g, Model: tc.model, Seed: 42, CutA: cut},
 				func(nd *Node) (int64, error) {
 					rng := nd.Rand()
 					sum := int64(0)
@@ -279,7 +89,7 @@ func TestEngineDifferentialRandomTraffic(t *testing.T) {
 
 // floodProgram is a native step program: each node learns the minimum id in
 // the network by flooding for n rounds. Used to prove the step path matches
-// the equivalent blocking handler on both engines.
+// the equivalent blocking handler.
 type floodProgram struct {
 	best   int64
 	rounds int
@@ -305,7 +115,7 @@ func (p *floodProgram) Step(nd *Node) (bool, error) {
 
 func (p *floodProgram) Output() int64 { return p.best }
 
-func TestRunProgramMatchesHandlerOnBothEngines(t *testing.T) {
+func TestRunProgramMatchesHandler(t *testing.T) {
 	g := graph.ConnectedGNP(30, 0.12, newRand(5))
 	handler := func(nd *Node) (int64, error) {
 		best := int64(nd.ID())
@@ -325,27 +135,21 @@ func TestRunProgramMatchesHandlerOnBothEngines(t *testing.T) {
 	newProg := func(nd *Node) StepProgram[int64] {
 		return &floodProgram{best: int64(nd.ID())}
 	}
-	var results []*Result[int64]
-	for _, mode := range []EngineMode{EngineGoroutine, EngineBatch} {
-		h, err := Run(Config{Graph: g, Engine: mode}, handler)
-		if err != nil {
-			t.Fatal(err)
-		}
-		p, err := RunProgram(Config{Graph: g, Engine: mode}, newProg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		results = append(results, h, p)
+	h, err := Run(Config{Graph: g}, handler)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for i := 1; i < len(results); i++ {
-		if !reflect.DeepEqual(results[0].Outputs, results[i].Outputs) {
-			t.Fatalf("variant %d outputs differ", i)
-		}
-		if results[0].Stats != results[i].Stats {
-			t.Fatalf("variant %d stats differ: %+v vs %+v", i, results[0].Stats, results[i].Stats)
-		}
+	p, err := RunProgram(Config{Graph: g}, newProg)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for v, out := range results[0].Outputs {
+	if !reflect.DeepEqual(h.Outputs, p.Outputs) {
+		t.Fatal("step program outputs differ from the handler's")
+	}
+	if h.Stats != p.Stats {
+		t.Fatalf("stats differ: handler %+v vs step program %+v", h.Stats, p.Stats)
+	}
+	for v, out := range h.Outputs {
 		if out != 0 {
 			t.Fatalf("node %d: min id = %d, want 0", v, out)
 		}
@@ -355,7 +159,7 @@ func TestRunProgramMatchesHandlerOnBothEngines(t *testing.T) {
 func TestRunProgramStepErrorAndPanic(t *testing.T) {
 	g := graph.Path(3)
 	sentinel := errors.New("step failed")
-	_, err := RunProgram(Config{Graph: g, Engine: EngineBatch}, func(nd *Node) StepProgram[int] {
+	_, err := RunProgram(Config{Graph: g}, func(nd *Node) StepProgram[int] {
 		return stepFunc[int](func(n *Node) (bool, error) {
 			if n.ID() == 1 && n.Round() == 2 {
 				return false, sentinel
@@ -366,7 +170,7 @@ func TestRunProgramStepErrorAndPanic(t *testing.T) {
 	if err == nil || !errors.Is(err, sentinel) {
 		t.Fatalf("err = %v, want wrapped sentinel", err)
 	}
-	_, err = RunProgram(Config{Graph: g, Engine: EngineBatch}, func(nd *Node) StepProgram[int] {
+	_, err = RunProgram(Config{Graph: g}, func(nd *Node) StepProgram[int] {
 		return stepFunc[int](func(n *Node) (bool, error) {
 			if n.ID() == 2 {
 				panic("native step bug")
@@ -378,7 +182,7 @@ func TestRunProgramStepErrorAndPanic(t *testing.T) {
 		t.Fatal("expected error from panicking step")
 	}
 	// A MustSend violation inside a native step aborts the run, too.
-	_, err = RunProgram(Config{Graph: g, Engine: EngineBatch}, func(nd *Node) StepProgram[int] {
+	_, err = RunProgram(Config{Graph: g}, func(nd *Node) StepProgram[int] {
 		return stepFunc[int](func(n *Node) (bool, error) {
 			if n.ID() == 0 {
 				n.MustSend(2, Flag{}) // not a neighbor

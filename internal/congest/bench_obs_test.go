@@ -9,7 +9,7 @@ import (
 )
 
 // BenchmarkObs prices the observability hooks on the engine hot loop (the
-// same full-exchange workload as BenchmarkEngineModes): "off" is the
+// same full-exchange workload as BenchmarkEngine): "off" is the
 // zero-cost-when-disabled baseline (nil Tracer — every emission site pays
 // one branch and nothing else), "spans" a span-only collector (rounds not
 // subscribed, so the per-round inbox walk is skipped), "rounds" the full
@@ -30,25 +30,23 @@ func BenchmarkObs(b *testing.B) {
 			}
 			return sum, nil
 		}
-		for _, mode := range []EngineMode{EngineGoroutine, EngineBatch} {
-			tracers := []struct {
-				name string
-				mk   func() obs.Tracer
-			}{
-				{"off", func() obs.Tracer { return nil }},
-				{"spans", func() obs.Tracer { return &obs.Collector{} }},
-				{"rounds", func() obs.Tracer { return &obs.Collector{CollectRounds: true} }},
-			}
-			for _, tc := range tracers {
-				b.Run(fmt.Sprintf("n=%d/%s/%s", n, mode, tc.name), func(b *testing.B) {
-					for i := 0; i < b.N; i++ {
-						if _, err := Run(Config{Graph: g, Engine: mode, Tracer: tc.mk()}, handler); err != nil {
-							b.Fatal(err)
-						}
+		tracers := []struct {
+			name string
+			mk   func() obs.Tracer
+		}{
+			{"off", func() obs.Tracer { return nil }},
+			{"spans", func() obs.Tracer { return &obs.Collector{} }},
+			{"rounds", func() obs.Tracer { return &obs.Collector{CollectRounds: true} }},
+		}
+		for _, tc := range tracers {
+			b.Run(fmt.Sprintf("n=%d/%s", n, tc.name), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					if _, err := Run(Config{Graph: g, Tracer: tc.mk()}, handler); err != nil {
+						b.Fatal(err)
 					}
-					reportNodeRounds(b, n, rounds)
-				})
-			}
+				}
+				reportNodeRounds(b, n, rounds)
+			})
 		}
 	}
 }
@@ -76,7 +74,7 @@ func TestDisabledTracerAddsNoAllocations(t *testing.T) {
 	}
 	run := func(tr obs.Tracer) float64 {
 		return testing.AllocsPerRun(5, func() {
-			if _, err := Run(Config{Graph: g, Engine: EngineBatch, Tracer: tr}, handler); err != nil {
+			if _, err := Run(Config{Graph: g, Tracer: tr}, handler); err != nil {
 				t.Fatal(err)
 			}
 		})

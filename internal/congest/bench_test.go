@@ -7,12 +7,12 @@ import (
 	"powergraph/internal/graph"
 )
 
-// BenchmarkEngineModes compares the two execution engines (and the native
-// step path) on the simulator's canonical hot loop: R rounds of full
-// neighbor exchange. This isolates engine overhead — scheduling, barriers,
-// outbox/inbox management — from algorithm-local work. Run it with
-// `make bench-engine`.
-func BenchmarkEngineModes(b *testing.B) {
+// BenchmarkEngine compares the engine's two program shapes — a blocking
+// handler through the coroutine adapter and the native step program — on
+// the simulator's canonical hot loop: R rounds of full neighbor exchange.
+// This isolates engine overhead — scheduling, outbox/inbox management —
+// from algorithm-local work. Run it with `make bench-engine`.
+func BenchmarkEngine(b *testing.B) {
 	const rounds = 50
 	for _, n := range []int{256, 1024, 2048} {
 		g := graph.ConnectedGNP(n, 8/float64(n), newRand(1))
@@ -26,19 +26,17 @@ func BenchmarkEngineModes(b *testing.B) {
 			}
 			return sum, nil
 		}
-		for _, mode := range []EngineMode{EngineGoroutine, EngineBatch} {
-			b.Run(fmt.Sprintf("n=%d/handler/%s", n, mode), func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					if _, err := Run(Config{Graph: g, Engine: mode}, handler); err != nil {
-						b.Fatal(err)
-					}
-				}
-				reportNodeRounds(b, n, rounds)
-			})
-		}
-		b.Run(fmt.Sprintf("n=%d/program/batch", n), func(b *testing.B) {
+		b.Run(fmt.Sprintf("n=%d/handler", n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				_, err := RunProgram(Config{Graph: g, Engine: EngineBatch},
+				if _, err := Run(Config{Graph: g}, handler); err != nil {
+					b.Fatal(err)
+				}
+			}
+			reportNodeRounds(b, n, rounds)
+		})
+		b.Run(fmt.Sprintf("n=%d/program", n), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				_, err := RunProgram(Config{Graph: g},
 					func(nd *Node) StepProgram[int] { return &exchangeProgram{rounds: rounds, width: w} })
 				if err != nil {
 					b.Fatal(err)

@@ -30,9 +30,8 @@ func runChatter(cfg Config) error {
 
 func cancelConfigs(g *graph.Graph) map[string]Config {
 	return map[string]Config{
-		"goroutine":     {Graph: g, Engine: EngineGoroutine},
-		"batch":         {Graph: g, Engine: EngineBatch},
-		"batch-sharded": {Graph: g, Engine: EngineBatch, Shards: 4},
+		"sequential": {Graph: g},
+		"sharded":    {Graph: g, Shards: 4},
 	}
 }
 
@@ -56,8 +55,8 @@ func TestCancelPreCanceledContext(t *testing.T) {
 
 // TestCancelMidRun: a deadline expiring while the simulation is in flight
 // aborts it cleanly — the run returns (instead of spinning to MaxRounds),
-// the error wraps both ErrCanceled and the deadline cause, and no node
-// goroutine outlives Run on any driver.
+// and the error wraps both ErrCanceled and the deadline cause on every
+// driver.
 func TestCancelMidRun(t *testing.T) {
 	g := graph.Cycle(64)
 	for name, cfg := range cancelConfigs(g) {
@@ -76,16 +75,17 @@ func TestCancelMidRun(t *testing.T) {
 	}
 }
 
-// TestCancelBlockingHandler covers the coroutine-adapted path (blocking
-// handler on the batch engine) and the goroutine engine's parked-node
-// unwinding: every node is blocked in NextRound when the cancel lands.
+// TestCancelBlockingHandler covers the coroutine-adapted path and its
+// parked-node unwinding: every node is blocked in NextRound when the cancel
+// lands.
 func TestCancelBlockingHandler(t *testing.T) {
 	g := graph.Cycle(16)
-	for _, engine := range []EngineMode{EngineGoroutine, EngineBatch} {
+	for name, cfg := range cancelConfigs(g) {
 		ctx, cancel := context.WithCancel(context.Background())
+		cfg.Ctx = ctx
 		done := make(chan error, 1)
 		go func() {
-			_, err := Run(Config{Graph: g, Engine: engine, Ctx: ctx}, func(nd *Node) (int, error) {
+			_, err := Run(cfg, func(nd *Node) (int, error) {
 				for {
 					nd.BroadcastNeighbors(NewInt(1))
 					nd.NextRound()
@@ -98,10 +98,10 @@ func TestCancelBlockingHandler(t *testing.T) {
 		select {
 		case err := <-done:
 			if !errors.Is(err, ErrCanceled) {
-				t.Errorf("%s: err = %v, want ErrCanceled", engine, err)
+				t.Errorf("%s: err = %v, want ErrCanceled", name, err)
 			}
 		case <-time.After(30 * time.Second):
-			t.Fatalf("%s: run did not abort after cancellation", engine)
+			t.Fatalf("%s: run did not abort after cancellation", name)
 		}
 	}
 }
@@ -110,7 +110,7 @@ func TestCancelBlockingHandler(t *testing.T) {
 // via MaxRounds exactly as before.
 func TestNilCtxUnchanged(t *testing.T) {
 	g := graph.Path(4)
-	err := runChatter(Config{Graph: g, Engine: EngineBatch, MaxRounds: 50})
+	err := runChatter(Config{Graph: g, MaxRounds: 50})
 	if !errors.Is(err, ErrMaxRounds) {
 		t.Fatalf("err = %v, want ErrMaxRounds", err)
 	}

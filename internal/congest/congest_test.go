@@ -84,6 +84,7 @@ func TestSendValidation(t *testing.T) {
 	g := graph.Path(3) // 0-1-2
 	_, err := Run(Config{Graph: g}, func(nd *Node) (int, error) {
 		if nd.ID() != 0 {
+			nd.NextRound()
 			return 0, nil
 		}
 		if err := nd.Send(0, Flag{}); err == nil {
@@ -100,6 +101,11 @@ func TestSendValidation(t *testing.T) {
 		}
 		if err := nd.Send(1, Flag{}); err == nil {
 			return 0, errors.New("duplicate per-round send accepted")
+		}
+		// The duplicate guard must reset at the round boundary.
+		nd.NextRound()
+		if err := nd.Send(1, Flag{}); err != nil {
+			return 0, fmt.Errorf("fresh-round send rejected: %w", err)
 		}
 		return 0, nil
 	})
@@ -220,7 +226,8 @@ func TestCliqueModelAllToAll(t *testing.T) {
 
 func TestCliqueBroadcastReachesEveryone(t *testing.T) {
 	g := graph.Path(4)
-	res, err := Run(Config{Graph: g, Model: CongestedClique}, func(nd *Node) (int, error) {
+	cut := bitset.FromIndices(4, 0, 1)
+	res, err := Run(Config{Graph: g, Model: CongestedClique, CutA: cut}, func(nd *Node) (int, error) {
 		nd.Broadcast(NewIntWidth(int64(nd.ID()), IDBits(nd.N())))
 		nd.NextRound()
 		return len(nd.Recv()), nil
@@ -235,6 +242,10 @@ func TestCliqueBroadcastReachesEveryone(t *testing.T) {
 	}
 	if res.Stats.Messages != 12 {
 		t.Fatalf("messages = %d, want 12", res.Stats.Messages)
+	}
+	// 2×2 ordered pairs across the cut in each direction: 8 crossing messages.
+	if res.Stats.CutMessages != 8 {
+		t.Fatalf("cut messages = %d, want 8", res.Stats.CutMessages)
 	}
 }
 
@@ -327,8 +338,8 @@ func TestConcurrentRunsShareGraphSafely(t *testing.T) {
 
 func TestDeterministicRandomness(t *testing.T) {
 	g := graph.Cycle(6)
-	run := func() []int64 {
-		res, err := Run(Config{Graph: g, Seed: 99}, func(nd *Node) (int64, error) {
+	run := func(shards int) []int64 {
+		res, err := Run(Config{Graph: g, Seed: 99, Shards: shards}, func(nd *Node) (int64, error) {
 			return nd.Rand().Int63(), nil
 		})
 		if err != nil {
@@ -336,10 +347,17 @@ func TestDeterministicRandomness(t *testing.T) {
 		}
 		return res.Outputs
 	}
-	a, b := run(), run()
+	a, b := run(0), run(0)
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatal("same seed produced different node randomness")
+		}
+	}
+	// A node's stream depends only on the seed and its id, never on the
+	// shard that steps it.
+	for i, v := range run(4) {
+		if v != a[i] {
+			t.Fatal("per-node random streams differ across shard counts")
 		}
 	}
 	seen := map[int64]bool{}

@@ -3,25 +3,19 @@ package congest
 import (
 	"context"
 	"fmt"
-	"sort"
-	"sync"
 
 	"powergraph/internal/bitset"
 	"powergraph/internal/obs"
 )
 
-type arrival struct {
-	id   int
-	done bool
-}
-
-// engine is the per-run simulation state shared by both execution engines.
-// Exactly one driver (loop for EngineGoroutine, runBatch for EngineBatch)
-// touches the scheduling fields of a given instance.
+// engine is the per-run simulation state. No field needs a lock: node
+// programs reach it one at a time, in id order (a coroutine-adapted handler
+// runs only while the scheduler waits for it), and sharded sweep workers
+// only read it, staging their side effects per shard for the round barrier
+// to merge (see shard.go).
 type engine struct {
 	g         graphLike
 	model     Model
-	mode      EngineMode
 	bandwidth int
 	maxRounds int
 	cutA      *bitset.Set
@@ -32,29 +26,19 @@ type engine struct {
 	nodes []*Node
 	stats Stats
 
-	mu       sync.Mutex
+	// firstErr is the run's first node failure in id order.
 	firstErr error
 
-	// abort, when closed, unblocks every node still parked at a round
-	// boundary (both engines).
-	abort chan struct{}
-
-	// Goroutine-engine scheduling: nodes rendezvous on arrive, the driver
-	// releases them via per-node resume channels.
-	arrive    chan arrival
-	resume    []chan struct{}
-	doneCount int
-
-	// Batch-engine scheduling: stamp is the current round's duplicate-send
-	// guard value (round index + 1, never zero); senders lists the nodes
-	// that queued messages this round (ascending, because the sweep runs in
-	// id order) and receivers the nodes whose inboxes are non-empty, so
-	// delivery cost scales with actual traffic instead of n.
+	// Scheduling: stamp is the current round's duplicate-send guard value
+	// (round index + 1, never zero); senders lists the nodes that queued
+	// messages this round (ascending, because the sweep runs in id order)
+	// and receivers the nodes whose inboxes are non-empty, so delivery cost
+	// scales with actual traffic instead of n.
 	stamp     int
 	senders   []int
 	receivers []int
 
-	// Sharded batch scheduling (see shard.go): shards is the worker count
+	// Sharded scheduling (see shard.go): shards is the worker count
 	// for the per-round node sweep (≤ 1 means sequential), shardStates the
 	// per-shard staging buffers, and nodeSlab the backing array all Node
 	// values live in (one allocation instead of n).
@@ -72,7 +56,7 @@ type engine struct {
 	seed       int64
 	seedBase   int64
 
-	// Per-round trace accounting, filled by deliver/deliverBatch: bits and
+	// Per-round trace accounting, filled by deliverBatch: bits and
 	// messages delivered in the last completed round, and (only when
 	// wantRounds) the largest single message — which, at one message per
 	// directed link per round, is exactly the max single-link bit volume.
@@ -81,10 +65,8 @@ type engine struct {
 	lastMaxLink int64
 
 	// Span reference counts: per-node begin/end marks collapse into one
-	// network-wide span event on the 0→1 and →0 transitions. spanMu also
-	// serializes tracer span calls from concurrent handler goroutines.
-	spanMu sync.Mutex
-	spans  map[spanKey]int
+	// network-wide span event on the 0→1 and →0 transitions.
+	spans map[spanKey]int
 }
 
 // spanKey identifies one open span instance.
@@ -96,12 +78,10 @@ type spanKey struct {
 // spanBegin records one node's span-begin mark, emitting the tracer event
 // on the first mark for this (name, index). The emitted mark carries the
 // cumulative message count as of the round boundary: marks fire while the
-// round's handlers run (or, sharded, at the barrier replay) — in both cases
+// round's programs run (or, sharded, at the barrier replay) — in both cases
 // before that round's delivery updates the counter — so the snapshot is the
-// traffic delivered before the mark's round, identically on every engine.
+// traffic delivered before the mark's round, at any shard count.
 func (e *engine) spanBegin(name string, index, round int) {
-	e.spanMu.Lock()
-	defer e.spanMu.Unlock()
 	if e.spans == nil {
 		e.spans = make(map[spanKey]int)
 	}
@@ -117,8 +97,6 @@ func (e *engine) spanBegin(name string, index, round int) {
 // the last mark is withdrawn. Ends without a matching open span are ignored
 // so termination paths can close spans unconditionally.
 func (e *engine) spanEnd(name string, index, round int) {
-	e.spanMu.Lock()
-	defer e.spanMu.Unlock()
 	k := spanKey{name, index}
 	refs := e.spans[k]
 	if refs == 0 {
@@ -140,7 +118,7 @@ func (e *engine) traceRunStart() {
 	e.tracer.RunStart(obs.RunInfo{
 		N:         e.g.N(),
 		Model:     e.model.String(),
-		Engine:    e.mode.String(),
+		Engine:    "batch",
 		Bandwidth: e.bandwidth,
 		MaxRounds: e.maxRounds,
 		Seed:      e.seed,
@@ -192,8 +170,8 @@ type graphLike interface {
 // ctxErr polls the run's context without blocking: nil while the run may
 // continue, an error wrapping ErrCanceled and the context's cause once it is
 // done. Every round loop calls it at the same position — right after the
-// MaxRounds check at the top of each round iteration — so all three drivers
-// abort at the same granularity: a clean round boundary.
+// MaxRounds check at the top of each round iteration — so both drivers abort
+// at the same granularity: a clean round boundary.
 func (e *engine) ctxErr() error {
 	if e.ctx == nil {
 		return nil
@@ -207,20 +185,12 @@ func (e *engine) ctxErr() error {
 }
 
 func (e *engine) setErr(err error) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
 	if e.firstErr == nil {
 		e.firstErr = err
 	}
 }
 
-func (e *engine) getErr() error {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.firstErr
-}
-
-// nodeErr records a node failure. On a sharded batch sweep it is staged in
+// nodeErr records a node failure. On a sharded sweep it is staged in
 // the node's shard (each shard keeps its first error, i.e. its lowest-id
 // failing node, because the in-shard sweep is sequential in id order); the
 // barrier then adopts the lowest shard's error, reproducing exactly the
@@ -243,9 +213,6 @@ func newEngine(cfg Config) (*engine, error) {
 	if cfg.Graph == nil {
 		return nil, fmt.Errorf("congest: nil graph")
 	}
-	if cfg.Engine != EngineGoroutine && cfg.Engine != EngineBatch {
-		return nil, fmt.Errorf("congest: unknown engine mode %d", int(cfg.Engine))
-	}
 	bwf := cfg.BandwidthFactor
 	if bwf == 0 {
 		bwf = 4
@@ -265,19 +232,17 @@ func newEngine(cfg Config) (*engine, error) {
 	// empty node ranges; the sharded driver's merge handles them like any
 	// other shard (the stress suite runs such configurations on purpose).
 	shards := cfg.Shards
-	if shards < 1 || cfg.Engine != EngineBatch {
+	if shards < 1 {
 		shards = 1
 	}
 	eng := &engine{
 		g:         cfg.Graph,
 		model:     cfg.Model,
-		mode:      cfg.Engine,
 		bandwidth: bwf * IDBits(n),
 		maxRounds: maxRounds,
 		cutA:      cfg.CutA,
 		ctx:       cfg.Ctx,
 		shards:    shards,
-		abort:     make(chan struct{}),
 		tracer:    cfg.Tracer,
 		seed:      cfg.Seed,
 		seedBase:  cfg.Seed * 1_000_003,
@@ -286,127 +251,50 @@ func newEngine(cfg Config) (*engine, error) {
 		eng.wantRounds = cfg.Tracer.WantRounds()
 	}
 	eng.stats.Bandwidth = eng.bandwidth
-	// One slab allocation for all node state; per-node maps (goroutine
-	// outboxes, batch duplicate-send guards) and random streams are created
-	// lazily so a million-node run pays only for what its algorithm uses.
+	// One slab allocation for all node state; per-node duplicate-send
+	// guards and random streams are created lazily so a million-node run
+	// pays only for what its algorithm uses.
 	eng.nodeSlab = make([]Node, n)
 	eng.nodes = make([]*Node, n)
 	for i := 0; i < n; i++ {
 		nd := &eng.nodeSlab[i]
 		nd.id = i
 		nd.eng = eng
-		if cfg.Engine != EngineBatch {
-			nd.outbox = make(map[int]Message)
-		}
 		eng.nodes[i] = nd
-	}
-	if cfg.Engine == EngineGoroutine {
-		eng.arrive = make(chan arrival, 2*n)
-		eng.resume = make([]chan struct{}, n)
-		for i := range eng.resume {
-			eng.resume[i] = make(chan struct{}, 1)
-		}
 	}
 	return eng, nil
 }
 
 // Run executes handler on every node of cfg.Graph under the configured
-// model and engine and returns each node's output plus run statistics.
-// Outputs[i] is node i's return value.
+// model and returns each node's output plus run statistics. Outputs[i] is
+// node i's return value. Each handler runs as a coroutine the scheduler
+// resumes once per round; NextRound is its yield point.
 //
 // The first error — from a handler, a MustSend violation, or the round
 // limit — aborts the run and is returned. Runs are deterministic for a
-// fixed Config (including Seed and Engine): nodes interact only at the
-// round barrier, and every node's randomness comes from its private stream.
-// The two engines produce identical results for identical configs.
+// fixed Config (including Seed): nodes interact only at the round barrier,
+// and every node's randomness comes from its private stream.
 func Run[T any](cfg Config, handler Handler[T]) (*Result[T], error) {
-	eng, err := newEngine(cfg)
-	if err != nil {
-		return nil, err
-	}
-	n := cfg.Graph.N()
-	if n == 0 {
-		return &Result[T]{}, nil
-	}
-	outputs := make([]T, n)
-	if eng.mode == EngineBatch {
-		adapterRuns.Add(1)
-		steppers := make([]stepper, n)
-		for i := 0; i < n; i++ {
-			steppers[i] = &coroStepper[T]{eng: eng, nd: eng.nodes[i], handler: handler, outputs: outputs}
-		}
-		if err := eng.runBatchToCompletion(steppers); err != nil {
-			return nil, err
-		}
-		return &Result[T]{Outputs: outputs, Stats: eng.stats}, nil
-	}
-
-	eng.traceRunStart()
-	for i := 0; i < n; i++ {
-		go func(nd *Node) {
-			defer func() {
-				if r := recover(); r != nil {
-					if np, ok := r.(nodePanic); ok {
-						if np.err != errAborted {
-							eng.setErr(np.err)
-						}
-					} else {
-						eng.setErr(fmt.Errorf("congest: node %d panicked: %v [%s]", nd.id, r, obs.StackSummary(2, 6)))
-					}
-				}
-				eng.arrive <- arrival{id: nd.id, done: true}
-			}()
-			out, err := handler(nd)
-			if err != nil {
-				eng.setErr(fmt.Errorf("congest: node %d: %w", nd.id, err))
-				return
-			}
-			outputs[nd.id] = out
-		}(eng.nodes[i])
-	}
-
-	runErr := eng.loop()
-	// Unblock any node still parked at the barrier and wait for every
-	// goroutine to finish, so no goroutine outlives Run.
-	close(eng.abort)
-	for eng.doneCount < n {
-		if a := <-eng.arrive; a.done {
-			eng.doneCount++
-		}
-	}
-	if runErr == nil {
-		runErr = eng.getErr()
-	}
-	eng.traceRunEnd(runErr)
-	if runErr != nil {
-		return nil, runErr
-	}
-	return &Result[T]{Outputs: outputs, Stats: eng.stats}, nil
+	adapterRuns.Add(1)
+	return run(cfg, func(eng *engine, nd *Node, outputs []T) stepper {
+		return &coroStepper[T]{eng: eng, nd: nd, handler: handler, outputs: outputs}
+	})
 }
 
 // RunProgram executes a step-structured algorithm: newProgram is called once
 // per node (in id order, before round 0) and the resulting program's Step
-// runs once per round. On EngineBatch every step is a plain method call —
-// no goroutines, channels, or barriers anywhere in the round loop; on
-// EngineGoroutine the program is wrapped in a blocking handler, so one
-// implementation serves both modes with identical results.
+// runs once per round as a plain method call — no goroutines, channels, or
+// barriers anywhere in the round loop. It produces the same results as Run
+// with the equivalent blocking handler.
 func RunProgram[T any](cfg Config, newProgram func(nd *Node) StepProgram[T]) (*Result[T], error) {
-	if cfg.Engine != EngineBatch {
-		return Run(cfg, func(nd *Node) (T, error) {
-			prog := newProgram(nd)
-			for {
-				done, err := prog.Step(nd)
-				if err != nil {
-					var zero T
-					return zero, err
-				}
-				if done {
-					return prog.Output(), nil
-				}
-				nd.NextRound()
-			}
-		})
-	}
+	return run(cfg, func(eng *engine, nd *Node, outputs []T) stepper {
+		return &progStepper[T]{eng: eng, nd: nd, prog: newProgram(nd), outputs: outputs}
+	})
+}
+
+// run builds the engine, one stepper per node (in id order), and drives
+// the round loop to completion.
+func run[T any](cfg Config, newStepper func(eng *engine, nd *Node, outputs []T) stepper) (*Result[T], error) {
 	eng, err := newEngine(cfg)
 	if err != nil {
 		return nil, err
@@ -417,95 +305,11 @@ func RunProgram[T any](cfg Config, newProgram func(nd *Node) StepProgram[T]) (*R
 	}
 	outputs := make([]T, n)
 	steppers := make([]stepper, n)
-	for i := 0; i < n; i++ {
-		steppers[i] = &progStepper[T]{eng: eng, nd: eng.nodes[i], prog: newProgram(eng.nodes[i]), outputs: outputs}
+	for i, nd := range eng.nodes {
+		steppers[i] = newStepper(eng, nd, outputs)
 	}
 	if err := eng.runBatchToCompletion(steppers); err != nil {
 		return nil, err
 	}
 	return &Result[T]{Outputs: outputs, Stats: eng.stats}, nil
-}
-
-// loop drives barrier rounds until every node's handler has returned, a
-// handler fails, or the round limit is reached. It returns the abort cause,
-// or nil on clean termination.
-func (e *engine) loop() error {
-	active := len(e.nodes)
-	for round := 0; ; round++ {
-		if round > e.maxRounds {
-			return errMaxRounds(e.maxRounds)
-		}
-		if err := e.ctxErr(); err != nil {
-			return err
-		}
-		waiting := make([]int, 0, active)
-		for got := 0; got < active; got++ {
-			a := <-e.arrive
-			if a.done {
-				e.doneCount++
-			} else {
-				waiting = append(waiting, a.id)
-			}
-		}
-		if err := e.getErr(); err != nil {
-			return err
-		}
-		active = len(waiting)
-		if active == 0 {
-			return nil
-		}
-		e.stats.Rounds++
-		e.deliver()
-		e.traceRound(round, active)
-		sort.Ints(waiting)
-		for _, id := range waiting {
-			e.resume[id] <- struct{}{}
-		}
-	}
-}
-
-// deliver moves all outboxes into inboxes, accounting bits. Senders are
-// processed in id order so every inbox is sorted by sender.
-func (e *engine) deliver() {
-	for _, nd := range e.nodes {
-		nd.inbox = nd.inbox[:0]
-	}
-	var roundBits, roundMsgs, maxLink int64
-	for _, nd := range e.nodes {
-		if len(nd.outbox) == 0 {
-			continue
-		}
-		dests := make([]int, 0, len(nd.outbox))
-		for to := range nd.outbox {
-			dests = append(dests, to)
-		}
-		sort.Ints(dests)
-		for _, to := range dests {
-			m := nd.outbox[to]
-			b := int64(m.Bits())
-			e.stats.Messages++
-			e.stats.TotalBits += b
-			roundBits += b
-			roundMsgs++
-			// At one message per directed link per round, the largest
-			// message is the max single-link bit volume; only paid for when
-			// a tracer asked for round events.
-			if e.wantRounds && b > maxLink {
-				maxLink = b
-			}
-			if e.cutA != nil && e.cutA.Contains(nd.id) != e.cutA.Contains(to) {
-				e.stats.CutBits += b
-				e.stats.CutMessages++
-			}
-			e.nodes[to].inbox = append(e.nodes[to].inbox, Incoming{From: nd.id, Msg: m})
-		}
-		nd.outbox = make(map[int]Message, len(nd.outbox))
-	}
-	e.lastBits, e.lastMsgs, e.lastMaxLink = roundBits, roundMsgs, maxLink
-	if roundBits > e.stats.MaxRoundBits {
-		e.stats.MaxRoundBits = roundBits
-	}
-	if roundMsgs > e.stats.MaxRoundMessages {
-		e.stats.MaxRoundMessages = roundMsgs
-	}
 }

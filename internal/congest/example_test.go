@@ -9,11 +9,9 @@ import (
 
 // Example runs a one-round neighbor id exchange on a 4-cycle: every node
 // broadcasts its id, crosses the round barrier, and counts what arrived.
-// The same handler runs unchanged on either engine; here the batched
-// event-driven engine drives it.
 func Example() {
 	g := graph.Cycle(4)
-	cfg := congest.Config{Graph: g, Engine: congest.EngineBatch}
+	cfg := congest.Config{Graph: g}
 	res, err := congest.Run(cfg, func(nd *congest.Node) (int, error) {
 		nd.Broadcast(congest.NewIntWidth(int64(nd.ID()), congest.IDBits(nd.N())))
 		nd.NextRound()
@@ -36,7 +34,7 @@ func Example() {
 }
 
 // minProgram is a step-structured node program: Step runs once per round as
-// a plain function call (no goroutine per node on the batch engine). It
+// a plain function call (no goroutine per node). It
 // floods the minimum id for n rounds.
 type minProgram struct {
 	best   int64
@@ -60,10 +58,10 @@ func (p *minProgram) Step(nd *congest.Node) (bool, error) {
 func (p *minProgram) Output() int64 { return p.best }
 
 // ExampleRunProgram elects a leader (the minimum id) with a step program —
-// the shape the batch engine executes fastest.
+// the shape the engine executes fastest.
 func ExampleRunProgram() {
 	g := graph.Path(5)
-	cfg := congest.Config{Graph: g, Engine: congest.EngineBatch}
+	cfg := congest.Config{Graph: g}
 	res, err := congest.RunProgram(cfg, func(nd *congest.Node) congest.StepProgram[int64] {
 		return &minProgram{best: int64(nd.ID())}
 	})

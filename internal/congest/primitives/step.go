@@ -11,7 +11,7 @@ import (
 // Each Step* type is the explicit state-machine form of the blocking
 // primitive of the same name, for use inside congest.StepProgram
 // implementations: the per-round logic runs as a plain method call, which
-// is what lets the batch engine drive thousand-node networks without any
+// is what lets the engine drive thousand-node networks without any
 // per-node goroutine or channel.
 //
 // The composition contract mirrors how the blocking primitives chain

@@ -129,7 +129,8 @@ func (p *stepCliqueChain) Output() cliqueOut { return p.out }
 // TestStepCliquePrimitivesMatchBlocking proves the clique-model step
 // primitives (StepTwoHopMax, StepCliqueLeader, StepStatusExchange,
 // StepDirectGather) message-for-message equivalent to their blocking
-// counterparts: identical outputs and simulator statistics on both engines.
+// counterparts: identical outputs and simulator statistics, sequential and
+// sharded.
 func TestStepCliquePrimitivesMatchBlocking(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	graphs := map[string]*graph.Graph{
@@ -141,17 +142,17 @@ func TestStepCliquePrimitivesMatchBlocking(t *testing.T) {
 	}
 	for name, g := range graphs {
 		var results []*congest.Result[cliqueOut]
-		for _, mode := range []congest.EngineMode{congest.EngineGoroutine, congest.EngineBatch} {
-			cfg := congest.Config{Graph: g, Model: congest.CongestedClique, Seed: 6, Engine: mode}
+		for _, shards := range []int{0, 3} {
+			cfg := congest.Config{Graph: g, Model: congest.CongestedClique, Seed: 6, Shards: shards}
 			blk, err := congest.Run(cfg, blockingCliqueChain)
 			if err != nil {
-				t.Fatalf("%s/%v blocking: %v", name, mode, err)
+				t.Fatalf("%s shards=%d blocking: %v", name, shards, err)
 			}
 			stp, err := congest.RunProgram(cfg, func(nd *congest.Node) congest.StepProgram[cliqueOut] {
 				return &stepCliqueChain{}
 			})
 			if err != nil {
-				t.Fatalf("%s/%v step: %v", name, mode, err)
+				t.Fatalf("%s shards=%d step: %v", name, shards, err)
 			}
 			results = append(results, blk, stp)
 		}
@@ -181,10 +182,10 @@ func TestStepEstimatorFloods(t *testing.T) {
 	prog := func(nd *congest.Node) congest.StepProgram[estimatorOut] {
 		return &estimatorProbe{}
 	}
-	for _, mode := range []congest.EngineMode{congest.EngineGoroutine, congest.EngineBatch} {
-		res, err := congest.RunProgram(congest.Config{Graph: g, Seed: 1, Engine: mode}, prog)
+	for _, shards := range []int{0, 3} {
+		res, err := congest.RunProgram(congest.Config{Graph: g, Seed: 1, Shards: shards}, prog)
 		if err != nil {
-			t.Fatalf("%v: %v", mode, err)
+			t.Fatalf("shards=%d: %v", shards, err)
 		}
 		for v, o := range res.Outputs {
 			// Node 2 holds sample 42; after one flood its G-neighbors see it.
@@ -193,23 +194,23 @@ func TestStepEstimatorFloods(t *testing.T) {
 				wantMin = 42
 			}
 			if o.Min != wantMin {
-				t.Errorf("%v: node %d min = %d, want %d", mode, v, o.Min, wantMin)
+				t.Errorf("shards=%d: node %d min = %d, want %d", shards, v, o.Min, wantMin)
 			}
 			// 2 hops of max over values = id: nodes see max id within 2 hops.
 			wantHop := int64(min(v+2, 4))
 			if o.HopMax != wantHop {
-				t.Errorf("%v: node %d hopMax = %d, want %d", mode, v, o.HopMax, wantHop)
+				t.Errorf("shards=%d: node %d hopMax = %d, want %d", shards, v, o.HopMax, wantHop)
 			}
 			// Only node 3 holds rank 5; neighbors learn (5, 3).
 			if v >= 2 && v <= 4 {
 				if o.Rank != 5 || o.RankID != 3 {
-					t.Errorf("%v: node %d rank = (%d,%d), want (5,3)", mode, v, o.Rank, o.RankID)
+					t.Errorf("shards=%d: node %d rank = (%d,%d), want (5,3)", shards, v, o.Rank, o.RankID)
 				}
 				if v != 3 && o.Senders != 1 {
-					t.Errorf("%v: node %d saw %d rank senders, want 1", mode, v, o.Senders)
+					t.Errorf("shards=%d: node %d saw %d rank senders, want 1", shards, v, o.Senders)
 				}
 			} else if o.RankID != -1 {
-				t.Errorf("%v: node %d rankID = %d, want -1", mode, v, o.RankID)
+				t.Errorf("shards=%d: node %d rankID = %d, want -1", shards, v, o.RankID)
 			}
 		}
 	}

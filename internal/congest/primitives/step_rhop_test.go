@@ -12,7 +12,7 @@ import (
 
 // Property tests for the depth-r collectives behind the Gʳ pipeline: on
 // random graphs, every primitive must agree with a direct BFS-computed
-// r-neighborhood reference, for r = 1…5, under both engines.
+// r-neighborhood reference, for r = 1…5, sequential and sharded.
 
 // rhopOut is one node's observable outcome of the chained depth-r stages.
 type rhopOut struct {
@@ -248,7 +248,7 @@ func rhopReference(g *graph.Graph, in rhopInputs, voteFor []int) []rhopOut {
 
 // TestRHopPrimitivesMatchBFSReference is the satellite property test: on
 // random connected graphs, the depth-r collectives agree with the BFS
-// reference for r = 1…5 under both engines. The candidate flood is asserted
+// reference for r = 1…5, sequential and sharded. The candidate flood is asserted
 // EXACT at every depth: the legacy broadcast schedule at r ≤ 2, the routed
 // relay schedule (NewStepCandidateMinFloodRoutes over the adoption routes
 // recorded from the chained rank floods) at r ≥ 3.
@@ -263,28 +263,27 @@ func TestRHopPrimitivesMatchBFSReference(t *testing.T) {
 			}
 			want := rhopReference(g, in, voteFor)
 
-			// Both engines plus a sharded batch sweep: the routed candidate
-			// flood must be exact under the shard barrier too.
+			// Sequential and sharded sweeps: the routed candidate flood
+			// must be exact under the shard barrier too.
 			cfgs := []congest.Config{
-				{Graph: g, Model: congest.CONGEST, Engine: congest.EngineGoroutine, BandwidthFactor: 8},
-				{Graph: g, Model: congest.CONGEST, Engine: congest.EngineBatch, BandwidthFactor: 8},
-				{Graph: g, Model: congest.CONGEST, Engine: congest.EngineBatch, Shards: 3, BandwidthFactor: 8},
+				{Graph: g, Model: congest.CONGEST, BandwidthFactor: 8},
+				{Graph: g, Model: congest.CONGEST, Shards: 3, BandwidthFactor: 8},
 			}
-			engineOuts := make([][]rhopOut, len(cfgs))
+			outs := make([][]rhopOut, len(cfgs))
 			for i, cfg := range cfgs {
 				res, err := congest.RunProgram(cfg, func(nd *congest.Node) congest.StepProgram[rhopOut] {
 					return &rhopProgram{in: in, voteFor: voteFor[nd.ID()]}
 				})
 				if err != nil {
-					t.Fatalf("n=%d r=%d %v sh=%d: %v", n, r, cfg.Engine, cfg.Shards, err)
+					t.Fatalf("n=%d r=%d sh=%d: %v", n, r, cfg.Shards, err)
 				}
-				engineOuts[i] = res.Outputs
-				if i > 0 && !reflect.DeepEqual(engineOuts[0], engineOuts[i]) {
-					t.Fatalf("n=%d r=%d: engine config %d diverges from goroutine", n, r, i)
+				outs[i] = res.Outputs
+				if i > 0 && !reflect.DeepEqual(outs[0], outs[i]) {
+					t.Fatalf("n=%d r=%d: sharded sweep diverges from sequential", n, r)
 				}
 			}
 
-			for v, got := range engineOuts[0] {
+			for v, got := range outs[0] {
 				w := want[v]
 				if got.HopMax != w.HopMax || got.MinFlood != w.MinFlood ||
 					got.RankBest != w.RankBest || got.CandNbrs != w.CandNbrs || got.Near != w.Near {

@@ -110,8 +110,8 @@ func (p *stepPipeline) Output() pipelineOut { return p.out }
 
 // TestStepPrimitivesMatchBlocking proves the step-form primitives are
 // message-for-message equivalent to their blocking twins: the composed
-// chain produces identical outputs and identical simulator statistics on
-// both engines, across topologies that stress every primitive (deep trees,
+// chain produces identical outputs and identical simulator statistics,
+// sequential and sharded, across topologies that stress every primitive (deep trees,
 // stars, random graphs).
 func TestStepPrimitivesMatchBlocking(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
@@ -126,17 +126,17 @@ func TestStepPrimitivesMatchBlocking(t *testing.T) {
 	}
 	for name, g := range graphs {
 		var results []*congest.Result[pipelineOut]
-		for _, mode := range []congest.EngineMode{congest.EngineGoroutine, congest.EngineBatch} {
-			cfg := congest.Config{Graph: g, Seed: 4, Engine: mode}
+		for _, shards := range []int{0, 3} {
+			cfg := congest.Config{Graph: g, Seed: 4, Shards: shards}
 			blk, err := congest.Run(cfg, blockingPipeline)
 			if err != nil {
-				t.Fatalf("%s/%v blocking: %v", name, mode, err)
+				t.Fatalf("%s shards=%d blocking: %v", name, shards, err)
 			}
 			stp, err := congest.RunProgram(cfg, func(nd *congest.Node) congest.StepProgram[pipelineOut] {
 				return &stepPipeline{}
 			})
 			if err != nil {
-				t.Fatalf("%s/%v step: %v", name, mode, err)
+				t.Fatalf("%s shards=%d step: %v", name, shards, err)
 			}
 			results = append(results, blk, stp)
 		}

@@ -2,8 +2,8 @@ package congest
 
 import "sync"
 
-// The sharded batch sweep: Config.Shards > 1 splits the per-round node
-// sweep of the batch engine into contiguous node-id ranges advanced by a
+// The sharded sweep: Config.Shards > 1 splits the engine's per-round node
+// sweep into contiguous node-id ranges advanced by a
 // persistent worker pool, while everything with cross-node visibility —
 // message delivery, statistics, span reference counting, tracer events,
 // error selection — stays on the coordinator goroutine at the round
@@ -115,7 +115,7 @@ func (e *engine) runBatchSharded(steppers []stepper) error {
 		// emitted exactly the span events the sequential sweep had at its
 		// abort point.
 		live := 0
-		var firstErr error
+		var shardErr error
 		for k := range e.shardStates {
 			sh := &e.shardStates[k]
 			live += sh.live
@@ -129,16 +129,16 @@ func (e *engine) runBatchSharded(steppers []stepper) error {
 				}
 			}
 			sh.marks = sh.marks[:0]
-			if sh.err != nil && firstErr == nil {
-				firstErr = sh.err
+			if sh.err != nil && shardErr == nil {
+				shardErr = sh.err
 			}
 			sh.err = nil
 		}
-		if firstErr != nil {
-			e.setErr(firstErr)
+		if shardErr != nil {
+			e.setErr(shardErr)
 		}
-		if err := e.getErr(); err != nil {
-			return err
+		if e.firstErr != nil {
+			return e.firstErr
 		}
 		if live == 0 {
 			return nil

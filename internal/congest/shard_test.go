@@ -54,7 +54,7 @@ func (p *probeProg) Output() int64 { return p.sum }
 func probeConfig(g *graph.Graph, shards int, tr obs.Tracer) Config {
 	// BandwidthFactor 16 keeps the probe's 11-bit payloads legal even on
 	// the tiny graphs (n = 3 has a default budget of just 8 bits).
-	return Config{Graph: g, Engine: EngineBatch, Shards: shards, Seed: 42, Tracer: tr, BandwidthFactor: 16}
+	return Config{Graph: g, Shards: shards, Seed: 42, Tracer: tr, BandwidthFactor: 16}
 }
 
 func runProbe(t *testing.T, g *graph.Graph, shards int) (*Result[int64], *obs.Collector) {
@@ -224,7 +224,7 @@ func TestShardedStress(t *testing.T) {
 	}
 }
 
-// TestShardedMillionNodes is the scale smoke: the sharded batch engine
+// TestShardedMillionNodes is the scale smoke: the sharded engine
 // drives a million-node ring through the probe program with a fixed worker
 // pool — goroutine count stays O(shards), never O(n) — and still matches
 // the sequential sweep exactly.
@@ -275,7 +275,7 @@ func TestShardedMillionNodes(t *testing.T) {
 
 // TestNegativeShardsRejected pins the validation error.
 func TestNegativeShardsRejected(t *testing.T) {
-	_, err := RunProgram(Config{Graph: graph.Path(3), Engine: EngineBatch, Shards: -2},
+	_, err := RunProgram(Config{Graph: graph.Path(3), Shards: -2},
 		func(nd *Node) StepProgram[int] {
 			return stepFunc[int](func(nd *Node) (bool, error) { return true, nil })
 		})

@@ -35,10 +35,11 @@ func traceExchange(rounds, width int) Handler[int] {
 }
 
 // TestTraceRoundConformance is the engine-level trace contract: with a
-// rounds-subscribed tracer attached, both engines emit one RoundEvent per
+// rounds-subscribed tracer attached, the engine emits one RoundEvent per
 // counted round (monotone, complete), the events' sums reproduce the
 // end-of-run Stats exactly, and the span marks respect the refcount
-// semantics. The two engines' event streams must also agree with each other.
+// semantics. The sequential and sharded sweeps' event streams must also
+// agree with each other.
 func TestTraceRoundConformance(t *testing.T) {
 	const rounds = 17
 	g := graph.ConnectedGNP(40, 0.2, newRand(3))
@@ -49,32 +50,32 @@ func TestTraceRoundConformance(t *testing.T) {
 		res    *Result[int]
 		col    *obs.Collector
 	}
-	streams := map[EngineMode]*stream{}
-	for _, mode := range []EngineMode{EngineGoroutine, EngineBatch} {
+	streams := map[int]*stream{}
+	for _, shards := range []int{0, 3} {
 		col := &obs.Collector{CollectRounds: true}
-		res, err := Run(Config{Graph: g, Engine: mode, Seed: 11, Tracer: col}, traceExchange(rounds, w))
+		res, err := Run(Config{Graph: g, Shards: shards, Seed: 11, Tracer: col}, traceExchange(rounds, w))
 		if err != nil {
-			t.Fatalf("%v: %v", mode, err)
+			t.Fatalf("shards=%d: %v", shards, err)
 		}
-		streams[mode] = &stream{events: col.RoundEvents(), res: res, col: col}
+		streams[shards] = &stream{events: col.RoundEvents(), res: res, col: col}
 	}
 
-	for mode, s := range streams {
+	for shards, s := range streams {
 		evs, stats := s.events, s.res.Stats
 		if len(evs) != stats.Rounds {
-			t.Fatalf("%v: %d round events for %d counted rounds", mode, len(evs), stats.Rounds)
+			t.Fatalf("shards=%d: %d round events for %d counted rounds", shards, len(evs), stats.Rounds)
 		}
 		var bits, msgs int64
 		var maxBits, maxMsgs int64
 		for i, ev := range evs {
 			if ev.Round != i {
-				t.Fatalf("%v: event %d carries round %d (not monotone-complete)", mode, i, ev.Round)
+				t.Fatalf("shards=%d: event %d carries round %d (not monotone-complete)", shards, i, ev.Round)
 			}
 			if ev.Active <= 0 || ev.Active > g.N() {
-				t.Fatalf("%v: round %d has %d active nodes", mode, i, ev.Active)
+				t.Fatalf("shards=%d: round %d has %d active nodes", shards, i, ev.Active)
 			}
 			if ev.MaxLink > ev.Bits || (ev.Messages > 0 && ev.MaxLink <= 0) {
-				t.Fatalf("%v: round %d maxLink %d inconsistent with bits %d", mode, i, ev.MaxLink, ev.Bits)
+				t.Fatalf("shards=%d: round %d maxLink %d inconsistent with bits %d", shards, i, ev.MaxLink, ev.Bits)
 			}
 			bits += ev.Bits
 			msgs += ev.Messages
@@ -86,35 +87,35 @@ func TestTraceRoundConformance(t *testing.T) {
 			}
 		}
 		if bits != stats.TotalBits || msgs != stats.Messages {
-			t.Fatalf("%v: event sums bits=%d msgs=%d vs stats bits=%d msgs=%d",
-				mode, bits, msgs, stats.TotalBits, stats.Messages)
+			t.Fatalf("shards=%d: event sums bits=%d msgs=%d vs stats bits=%d msgs=%d",
+				shards, bits, msgs, stats.TotalBits, stats.Messages)
 		}
 		if maxBits != stats.MaxRoundBits || maxMsgs != stats.MaxRoundMessages {
-			t.Fatalf("%v: event maxima bits=%d msgs=%d vs stats bits=%d msgs=%d",
-				mode, maxBits, maxMsgs, stats.MaxRoundBits, stats.MaxRoundMessages)
+			t.Fatalf("shards=%d: event maxima bits=%d msgs=%d vs stats bits=%d msgs=%d",
+				shards, maxBits, maxMsgs, stats.MaxRoundBits, stats.MaxRoundMessages)
 		}
 
 		info, end, ok := s.col.Run()
 		if !ok {
-			t.Fatalf("%v: missing run-start/run-end", mode)
+			t.Fatalf("shards=%d: missing run-start/run-end", shards)
 		}
 		if info.N != g.N() || info.Engine == "" || info.Model != CONGEST.String() {
-			t.Fatalf("%v: run info %+v", mode, info)
+			t.Fatalf("shards=%d: run info %+v", shards, info)
 		}
 		if end.Rounds != stats.Rounds || end.TotalBits != stats.TotalBits || end.Error != "" {
-			t.Fatalf("%v: run end %+v vs stats %+v", mode, end, stats)
+			t.Fatalf("shards=%d: run end %+v vs stats %+v", shards, end, stats)
 		}
 
 		if open := s.col.OpenSpans(); len(open) != 0 {
-			t.Fatalf("%v: unclosed spans %v", mode, open)
+			t.Fatalf("shards=%d: unclosed spans %v", shards, open)
 		}
 		begins, ends := s.col.SpanMarks()
 		if len(begins) != len(ends) {
-			t.Fatalf("%v: %d begins vs %d ends", mode, len(begins), len(ends))
+			t.Fatalf("shards=%d: %d begins vs %d ends", shards, len(begins), len(ends))
 		}
 		for _, mk := range begins {
 			if mk.Name == "never-begun" {
-				t.Fatalf("%v: unmatched end leaked through as a begin", mode)
+				t.Fatalf("shards=%d: unmatched end leaked through as a begin", shards)
 			}
 		}
 		// work: one refcounted completion across all nodes; work-iter: one
@@ -122,22 +123,22 @@ func TestTraceRoundConformance(t *testing.T) {
 		sum := s.col.SpanSummary()
 		want := fmt.Sprintf("work*1:%d;work-iter*%d:%d", stats.Rounds, rounds, rounds)
 		if sum != want+";solo*1:0" && sum != want {
-			t.Fatalf("%v: span summary %q, want %q(;solo*1:0)", mode, sum, want)
+			t.Fatalf("shards=%d: span summary %q, want %q(;solo*1:0)", shards, sum, want)
 		}
 	}
 
-	// Engine differential on the trace itself.
-	gor, bat := streams[EngineGoroutine], streams[EngineBatch]
-	if len(gor.events) != len(bat.events) {
-		t.Fatalf("engines emit different round counts: %d vs %d", len(gor.events), len(bat.events))
+	// Shard differential on the trace itself.
+	seq, shd := streams[0], streams[3]
+	if len(seq.events) != len(shd.events) {
+		t.Fatalf("sweeps emit different round counts: %d vs %d", len(seq.events), len(shd.events))
 	}
-	for i := range gor.events {
-		if gor.events[i] != bat.events[i] {
-			t.Fatalf("round %d diverges: goroutine %+v vs batch %+v", i, gor.events[i], bat.events[i])
+	for i := range seq.events {
+		if seq.events[i] != shd.events[i] {
+			t.Fatalf("round %d diverges: sequential %+v vs sharded %+v", i, seq.events[i], shd.events[i])
 		}
 	}
-	if gs, bs := gor.col.SpanSummary(), bat.col.SpanSummary(); gs != bs {
-		t.Fatalf("span summaries diverge: goroutine %q vs batch %q", gs, bs)
+	if ss, hs := seq.col.SpanSummary(), shd.col.SpanSummary(); ss != hs {
+		t.Fatalf("span summaries diverge: sequential %q vs sharded %q", ss, hs)
 	}
 }
 
@@ -147,11 +148,11 @@ func TestTraceRoundConformance(t *testing.T) {
 func TestTraceDoesNotPerturbRun(t *testing.T) {
 	g := graph.ConnectedGNP(30, 0.25, newRand(5))
 	w := IDBits(g.N())
-	for _, mode := range []EngineMode{EngineGoroutine, EngineBatch} {
+	for _, shards := range []int{0, 3} {
 		run := func(tr obs.Tracer) *Result[int] {
-			res, err := Run(Config{Graph: g, Engine: mode, Seed: 9, Tracer: tr}, traceExchange(12, w))
+			res, err := Run(Config{Graph: g, Shards: shards, Seed: 9, Tracer: tr}, traceExchange(12, w))
 			if err != nil {
-				t.Fatalf("%v: %v", mode, err)
+				t.Fatalf("shards=%d: %v", shards, err)
 			}
 			return res
 		}
@@ -165,11 +166,11 @@ func TestTraceDoesNotPerturbRun(t *testing.T) {
 		}
 		for name, traced := range map[string]*Result[int]{"span-only": spanOnly, "full": full} {
 			if traced.Stats != bare.Stats {
-				t.Fatalf("%v: %s tracer perturbed stats: %+v vs %+v", mode, name, traced.Stats, bare.Stats)
+				t.Fatalf("shards=%d: %s tracer perturbed stats: %+v vs %+v", shards, name, traced.Stats, bare.Stats)
 			}
 			for i := range bare.Outputs {
 				if traced.Outputs[i] != bare.Outputs[i] {
-					t.Fatalf("%v: %s tracer perturbed node %d output", mode, name, i)
+					t.Fatalf("shards=%d: %s tracer perturbed node %d output", shards, name, i)
 				}
 			}
 		}

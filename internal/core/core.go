@@ -26,15 +26,14 @@
 // power_phase2.go, and the Theorem 28 estimator floods run at depth r. See
 // ARCHITECTURE.md, "Parametric Gʳ collectives".
 //
-// Every algorithm runs on either simulator engine via Options.Engine with
-// identical results (seeds fix the whole run). All of them are written as
-// congest.StepPrograms — each node's per-round logic is a plain function
-// call — so the batch engine executes them with no per-node goroutines or
-// coroutine adaptation at all, which is what makes the n ≥ 2000 sweeps of
-// specs/step-sweep.json practical. Each algorithm's original blocking
+// Seeds fix the whole run, at any Options.Shards count. Every algorithm is
+// written as a congest.StepProgram — each node's per-round logic is a plain
+// function call — so the engine executes them with no per-node goroutines
+// or coroutine adaptation at all, which is what makes the n ≥ 2000 sweeps
+// of specs/step-sweep.json practical. Each algorithm's original blocking
 // handler is preserved verbatim in its *_equiv_test.go file, where an
 // equivalence test proves the step program message-for-message and
-// stat-for-stat indistinguishable from it on both engines.
+// stat-for-stat indistinguishable from it.
 package core
 
 import (
@@ -68,15 +67,9 @@ type Options struct {
 	Ctx context.Context
 	// Seed drives all node-local randomness (deterministic per seed).
 	Seed int64
-	// Engine selects the simulator's execution engine
-	// (congest.EngineGoroutine by default, congest.EngineBatch for the
-	// batched event-driven engine). Both produce identical results for
-	// identical seeds; batch is the fast choice at large n.
-	Engine congest.EngineMode
-	// Shards splits the batch engine's per-round node sweep across that
-	// many workers (congest.Config.Shards). Output is byte-identical at
-	// any shard count; the goroutine engine ignores the knob. Zero or one
-	// means the sequential sweep.
+	// Shards splits the engine's per-round node sweep across that many
+	// workers (congest.Config.Shards). Output is byte-identical at any
+	// shard count. Zero or one means the sequential sweep.
 	Shards int
 	// BandwidthFactor overrides the per-message budget multiplier
 	// (B = factor·⌈log₂ n⌉ bits). Zero selects each algorithm's default.
@@ -163,13 +156,6 @@ func (o *Options) seed() int64 {
 		return 0
 	}
 	return o.Seed
-}
-
-func (o *Options) engine() congest.EngineMode {
-	if o == nil {
-		return congest.EngineGoroutine
-	}
-	return o.Engine
 }
 
 func (o *Options) shards() int {

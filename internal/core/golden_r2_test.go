@@ -10,7 +10,6 @@ import (
 	"reflect"
 	"testing"
 
-	"powergraph/internal/congest"
 	"powergraph/internal/exact"
 	"powergraph/internal/graph"
 )
@@ -74,8 +73,8 @@ func goldenGraphs() map[string]*graph.Graph {
 }
 
 // goldenAlgorithms maps registry-style names to direct invocations. Each is
-// run with a fixed seed under both engines; the record stores the (identical)
-// measurements once.
+// run with a fixed seed, sequentially and sharded; the record stores the
+// (identical) measurements once.
 var goldenAlgorithms = map[string]func(g *graph.Graph, opts *Options) (*Result, error){
 	"mvc-congest": func(g *graph.Graph, opts *Options) (*Result, error) {
 		return ApproxMVCCongest(g, 0.5, opts)
@@ -118,8 +117,9 @@ func goldenRecordOf(res *Result) goldenRecord {
 	}
 }
 
-// TestGoldenR2Regression runs the whole seed matrix under both engines and
-// compares every record against testdata/golden_r2.json.
+// TestGoldenR2Regression runs the whole seed matrix on the sequential and
+// the sharded sweep and compares every record against
+// testdata/golden_r2.json.
 func TestGoldenR2Regression(t *testing.T) {
 	graphs := goldenGraphs()
 	got := make(map[string]goldenRecord)
@@ -127,20 +127,20 @@ func TestGoldenR2Regression(t *testing.T) {
 		for aName, run := range goldenAlgorithms {
 			key := fmt.Sprintf("%s|%s|seed7", aName, gName)
 			var records [2]goldenRecord
-			for i, engine := range []congest.EngineMode{congest.EngineGoroutine, congest.EngineBatch} {
-				res, err := run(g, &Options{Seed: 7, Engine: engine})
+			for i, shards := range []int{0, 3} {
+				res, err := run(g, &Options{Seed: 7, Shards: shards})
 				if err != nil {
-					t.Fatalf("%s (%s): %v", key, engine, err)
+					t.Fatalf("%s (shards=%d): %v", key, shards, err)
 				}
 				records[i] = goldenRecordOf(res)
 			}
 			if !reflect.DeepEqual(records[0], records[1]) {
-				t.Fatalf("%s: engines diverge:\ngoroutine: %+v\nbatch:     %+v", key, records[0], records[1])
+				t.Fatalf("%s: shard counts diverge:\nsequential: %+v\nsharded:    %+v", key, records[0], records[1])
 			}
 			// The default (kernel-exact) and the pinned legacy raw exact
 			// solver must be byte-identical on the golden matrix: the
 			// ladder's direct path guarantees it below DefaultDirectN.
-			legacy, err := run(g, &Options{Seed: 7, Engine: congest.EngineBatch, LocalSolver: exact.VertexCover})
+			legacy, err := run(g, &Options{Seed: 7, LocalSolver: exact.VertexCover})
 			if err != nil {
 				t.Fatalf("%s (legacy solver): %v", key, err)
 			}

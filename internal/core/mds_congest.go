@@ -53,7 +53,7 @@ type MDSOptions struct {
 //
 // The algorithm is a congest.StepProgram over the greedy-cover step
 // primitives (StepMinFlood, StepHopMax, StepRankFlood,
-// StepCandidateMinFlood), so the batch engine drives it with no per-node
+// StepCandidateMinFlood), so the engine drives it with no per-node
 // goroutine; the blocking reference is preserved in
 // mds_congest_equiv_test.go and TestStepMDSMatchesBlockingReference proves
 // the two indistinguishable.
@@ -70,7 +70,6 @@ func ApproxMDSCongest(g *graph.Graph, opts *MDSOptions) (*Result, error) {
 		Graph:           g,
 		Ctx:             opts.Options.ctx(),
 		Model:           congest.CONGEST,
-		Engine:          opts.engine(),
 		Shards:          opts.shards(),
 		BandwidthFactor: bwf,
 		MaxRounds:       opts.Options.MaxRounds,

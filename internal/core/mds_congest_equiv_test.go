@@ -41,7 +41,7 @@ type rankIDMsg struct {
 
 func (m rankIDMsg) Bits() int { return m.WidthR + m.WidthI }
 
-// blockingMDSCongest is the original goroutine-style handler implementation
+// blockingMDSCongest is the original blocking handler implementation
 // of Theorem 28, kept verbatim as a reference for
 // TestStepMDSMatchesBlockingReference.
 func blockingMDSCongest(g *graph.Graph, opts *MDSOptions) (*Result, error) {
@@ -59,7 +59,6 @@ func blockingMDSCongest(g *graph.Graph, opts *MDSOptions) (*Result, error) {
 	cfg := congest.Config{
 		Graph:           g,
 		Model:           congest.CONGEST,
-		Engine:          opts.engine(),
 		BandwidthFactor: bwf,
 		MaxRounds:       opts.Options.MaxRounds,
 		Seed:            opts.Options.Seed,
@@ -293,43 +292,43 @@ func TestStepMDSMatchesBlockingReference(t *testing.T) {
 		"tree14": graph.RandomTree(14, rng),
 	}
 	for name, g := range graphs {
-		for _, mode := range []congest.EngineMode{congest.EngineGoroutine, congest.EngineBatch} {
-			opts := &MDSOptions{Options: Options{Seed: 7, Engine: mode}, SampleFactor: 1, PhaseFactor: 1}
+		for _, shards := range []int{0, 3} {
+			opts := &MDSOptions{Options: Options{Seed: 7, Shards: shards}, SampleFactor: 1, PhaseFactor: 1}
 			want, err := blockingMDSCongest(g, opts)
 			if err != nil {
-				t.Fatalf("%s %v: reference: %v", name, mode, err)
+				t.Fatalf("%s shards=%d: reference: %v", name, shards, err)
 			}
 			got, err := ApproxMDSCongest(g, opts)
 			if err != nil {
-				t.Fatalf("%s %v: step: %v", name, mode, err)
+				t.Fatalf("%s shards=%d: step: %v", name, shards, err)
 			}
 			if !got.Solution.Equal(want.Solution) {
-				t.Fatalf("%s %v: solutions differ:\nstep:     %v\nblocking: %v",
-					name, mode, got.Solution.Elements(), want.Solution.Elements())
+				t.Fatalf("%s shards=%d: solutions differ:\nstep:     %v\nblocking: %v",
+					name, shards, got.Solution.Elements(), want.Solution.Elements())
 			}
 			if got.FallbackJoins != want.FallbackJoins {
-				t.Fatalf("%s %v: FallbackJoins %d vs %d", name, mode, got.FallbackJoins, want.FallbackJoins)
+				t.Fatalf("%s shards=%d: FallbackJoins %d vs %d", name, shards, got.FallbackJoins, want.FallbackJoins)
 			}
 			if got.Stats != want.Stats {
-				t.Fatalf("%s %v: stats differ:\nstep:     %+v\nblocking: %+v",
-					name, mode, got.Stats, want.Stats)
+				t.Fatalf("%s shards=%d: stats differ:\nstep:     %+v\nblocking: %+v",
+					name, shards, got.Stats, want.Stats)
 			}
 		}
 	}
-	// Default estimator parameters on one small instance, both engines.
+	// Default estimator parameters on one small instance, sequential and sharded.
 	g := graph.ConnectedGNP(10, 0.3, rng)
-	for _, mode := range []congest.EngineMode{congest.EngineGoroutine, congest.EngineBatch} {
-		opts := &MDSOptions{Options: Options{Seed: 3, Engine: mode}}
+	for _, shards := range []int{0, 3} {
+		opts := &MDSOptions{Options: Options{Seed: 3, Shards: shards}}
 		want, err := blockingMDSCongest(g, opts)
 		if err != nil {
-			t.Fatalf("defaults %v: reference: %v", mode, err)
+			t.Fatalf("defaults shards=%d: reference: %v", shards, err)
 		}
 		got, err := ApproxMDSCongest(g, opts)
 		if err != nil {
-			t.Fatalf("defaults %v: step: %v", mode, err)
+			t.Fatalf("defaults shards=%d: step: %v", shards, err)
 		}
 		if !got.Solution.Equal(want.Solution) || got.Stats != want.Stats {
-			t.Fatalf("defaults %v: step and blocking diverge", mode)
+			t.Fatalf("defaults shards=%d: step and blocking diverge", shards)
 		}
 	}
 }

@@ -45,7 +45,6 @@ func ApproxMVCCliqueDeterministic(g *graph.Graph, eps float64, opts *Options) (*
 		Graph:           g,
 		Ctx:             opts.ctx(),
 		Model:           congest.CongestedClique,
-		Engine:          opts.engine(),
 		Shards:          opts.shards(),
 		BandwidthFactor: opts.bandwidthFactor(4),
 		MaxRounds:       opts.maxRounds(),

@@ -9,7 +9,7 @@ import (
 	"powergraph/internal/graph"
 )
 
-// blockingMVCCliqueDeterministic is the original goroutine-style handler
+// blockingMVCCliqueDeterministic is the original blocking handler
 // implementation of Corollary 10, kept verbatim as a reference for
 // TestStepCliqueDetMatchesBlockingReference.
 func blockingMVCCliqueDeterministic(g *graph.Graph, eps float64, opts *Options) (*Result, error) {
@@ -24,7 +24,6 @@ func blockingMVCCliqueDeterministic(g *graph.Graph, eps float64, opts *Options) 
 	cfg := congest.Config{
 		Graph:           g,
 		Model:           congest.CongestedClique,
-		Engine:          opts.engine(),
 		BandwidthFactor: opts.bandwidthFactor(4),
 		MaxRounds:       opts.maxRounds(),
 		Seed:            opts.seed(),
@@ -163,26 +162,26 @@ func TestStepCliqueDetMatchesBlockingReference(t *testing.T) {
 	}
 	for name, g := range graphs {
 		for _, eps := range []float64{1, 0.5, 0.25} {
-			for _, mode := range []congest.EngineMode{congest.EngineGoroutine, congest.EngineBatch} {
-				opts := &Options{Seed: 7, Engine: mode}
+			for _, shards := range []int{0, 3} {
+				opts := &Options{Seed: 7, Shards: shards}
 				want, err := blockingMVCCliqueDeterministic(g, eps, opts)
 				if err != nil {
-					t.Fatalf("%s eps=%v %v: reference: %v", name, eps, mode, err)
+					t.Fatalf("%s eps=%v shards=%d: reference: %v", name, eps, shards, err)
 				}
 				got, err := ApproxMVCCliqueDeterministic(g, eps, opts)
 				if err != nil {
-					t.Fatalf("%s eps=%v %v: step: %v", name, eps, mode, err)
+					t.Fatalf("%s eps=%v shards=%d: step: %v", name, eps, shards, err)
 				}
 				if !got.Solution.Equal(want.Solution) {
-					t.Fatalf("%s eps=%v %v: solutions differ:\nstep:     %v\nblocking: %v",
-						name, eps, mode, got.Solution.Elements(), want.Solution.Elements())
+					t.Fatalf("%s eps=%v shards=%d: solutions differ:\nstep:     %v\nblocking: %v",
+						name, eps, shards, got.Solution.Elements(), want.Solution.Elements())
 				}
 				if got.PhaseISize != want.PhaseISize {
-					t.Fatalf("%s eps=%v %v: PhaseISize %d vs %d", name, eps, mode, got.PhaseISize, want.PhaseISize)
+					t.Fatalf("%s eps=%v shards=%d: PhaseISize %d vs %d", name, eps, shards, got.PhaseISize, want.PhaseISize)
 				}
 				if got.Stats != want.Stats {
-					t.Fatalf("%s eps=%v %v: stats differ:\nstep:     %+v\nblocking: %+v",
-						name, eps, mode, got.Stats, want.Stats)
+					t.Fatalf("%s eps=%v shards=%d: stats differ:\nstep:     %+v\nblocking: %+v",
+						name, eps, shards, got.Stats, want.Stats)
 				}
 			}
 		}

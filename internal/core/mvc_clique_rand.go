@@ -57,7 +57,6 @@ func ApproxMVCCliqueRandomized(g *graph.Graph, eps float64, opts *Options) (*Res
 		Graph:           g,
 		Ctx:             opts.ctx(),
 		Model:           congest.CongestedClique,
-		Engine:          opts.engine(),
 		Shards:          opts.shards(),
 		BandwidthFactor: opts.bandwidthFactor(4),
 		MaxRounds:       opts.maxRounds(),

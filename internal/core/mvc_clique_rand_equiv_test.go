@@ -9,7 +9,7 @@ import (
 	"powergraph/internal/graph"
 )
 
-// blockingMVCCliqueRandomized is the original goroutine-style handler
+// blockingMVCCliqueRandomized is the original blocking handler
 // implementation of Theorem 11, kept verbatim as a reference for
 // TestStepCliqueRandMatchesBlockingReference.
 func blockingMVCCliqueRandomized(g *graph.Graph, eps float64, opts *Options) (*Result, error) {
@@ -23,7 +23,6 @@ func blockingMVCCliqueRandomized(g *graph.Graph, eps float64, opts *Options) (*R
 	cfg := congest.Config{
 		Graph:           g,
 		Model:           congest.CongestedClique,
-		Engine:          opts.engine(),
 		BandwidthFactor: opts.bandwidthFactor(4),
 		MaxRounds:       opts.maxRounds(),
 		Seed:            opts.seed(),
@@ -139,26 +138,26 @@ func TestStepCliqueRandMatchesBlockingReference(t *testing.T) {
 	}
 	for name, g := range graphs {
 		for _, eps := range []float64{1, 0.5, 0.25} {
-			for _, mode := range []congest.EngineMode{congest.EngineGoroutine, congest.EngineBatch} {
-				opts := &Options{Seed: 7, Engine: mode}
+			for _, shards := range []int{0, 3} {
+				opts := &Options{Seed: 7, Shards: shards}
 				want, err := blockingMVCCliqueRandomized(g, eps, opts)
 				if err != nil {
-					t.Fatalf("%s eps=%v %v: reference: %v", name, eps, mode, err)
+					t.Fatalf("%s eps=%v shards=%d: reference: %v", name, eps, shards, err)
 				}
 				got, err := ApproxMVCCliqueRandomized(g, eps, opts)
 				if err != nil {
-					t.Fatalf("%s eps=%v %v: step: %v", name, eps, mode, err)
+					t.Fatalf("%s eps=%v shards=%d: step: %v", name, eps, shards, err)
 				}
 				if !got.Solution.Equal(want.Solution) {
-					t.Fatalf("%s eps=%v %v: solutions differ:\nstep:     %v\nblocking: %v",
-						name, eps, mode, got.Solution.Elements(), want.Solution.Elements())
+					t.Fatalf("%s eps=%v shards=%d: solutions differ:\nstep:     %v\nblocking: %v",
+						name, eps, shards, got.Solution.Elements(), want.Solution.Elements())
 				}
 				if got.PhaseISize != want.PhaseISize {
-					t.Fatalf("%s eps=%v %v: PhaseISize %d vs %d", name, eps, mode, got.PhaseISize, want.PhaseISize)
+					t.Fatalf("%s eps=%v shards=%d: PhaseISize %d vs %d", name, eps, shards, got.PhaseISize, want.PhaseISize)
 				}
 				if got.Stats != want.Stats {
-					t.Fatalf("%s eps=%v %v: stats differ:\nstep:     %+v\nblocking: %+v",
-						name, eps, mode, got.Stats, want.Stats)
+					t.Fatalf("%s eps=%v shards=%d: stats differ:\nstep:     %+v\nblocking: %+v",
+						name, eps, shards, got.Stats, want.Stats)
 				}
 			}
 		}

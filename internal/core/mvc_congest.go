@@ -23,9 +23,8 @@ import (
 // G¹-cliques — and the run degenerates to Phase II solving G itself.
 //
 // The algorithm is implemented as a congest.StepProgram — each node's
-// per-round logic is a plain function call — so the batch engine drives it
-// with no per-node goroutine at all; on the goroutine engine the program is
-// wrapped in a blocking handler. Both engines produce identical results.
+// per-round logic is a plain function call — so the engine drives it with no
+// per-node goroutine at all.
 //
 // The input graph must be connected (Phase II routes everything through one
 // leader). ε must be positive; for ε > 1 the paper's trivial 0-round
@@ -62,7 +61,6 @@ func ApproxMVCCongest(g *graph.Graph, eps float64, opts *Options) (*Result, erro
 		Graph:           g,
 		Ctx:             opts.ctx(),
 		Model:           congest.CONGEST,
-		Engine:          opts.engine(),
 		Shards:          opts.shards(),
 		BandwidthFactor: opts.bandwidthFactor(4),
 		MaxRounds:       opts.maxRounds(),

@@ -61,7 +61,6 @@ func ApproxMVCCongestRandomized(g *graph.Graph, eps float64, opts *Options) (*Re
 		Graph:           g,
 		Ctx:             opts.ctx(),
 		Model:           congest.CONGEST,
-		Engine:          opts.engine(),
 		Shards:          opts.shards(),
 		BandwidthFactor: opts.bandwidthFactor(4),
 		MaxRounds:       opts.maxRounds(),

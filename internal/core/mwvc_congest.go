@@ -39,7 +39,7 @@ func (m edgeOrWeight) Bits() int { return 1 + m.WA + m.WB }
 //
 // The algorithm is a congest.StepProgram over the step-form primitives
 // (StepWeightedLocalRatio for Phase I, StepLeaderPipeline for Phase II), so
-// the batch engine drives it with no per-node goroutine; the blocking
+// the engine drives it with no per-node goroutine; the blocking
 // reference implementation is preserved in mwvc_congest_equiv_test.go and
 // TestStepMWVCMatchesBlockingReference proves the two indistinguishable.
 //
@@ -94,7 +94,6 @@ func ApproxMWVCCongest(g *graph.Graph, eps float64, opts *Options) (*Result, err
 		Graph:           g,
 		Ctx:             opts.ctx(),
 		Model:           congest.CONGEST,
-		Engine:          opts.engine(),
 		Shards:          opts.shards(),
 		BandwidthFactor: opts.bandwidthFactor(4),
 		MaxRounds:       opts.maxRounds(),

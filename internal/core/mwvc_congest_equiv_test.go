@@ -9,11 +9,11 @@ import (
 	"powergraph/internal/graph"
 )
 
-// blockingMWVCCongest is the original goroutine-style handler implementation
+// blockingMWVCCongest is the original blocking handler implementation
 // of Theorem 7, kept verbatim as a reference: the step-program rewrite must
 // be message-for-message indistinguishable from it, which
 // TestStepMWVCMatchesBlockingReference checks via full output and statistics
-// equality on both engines.
+// equality, on the sequential and the sharded sweep.
 func blockingMWVCCongest(g *graph.Graph, eps float64, opts *Options) (*Result, error) {
 	n := g.N()
 	idw := congest.IDBits(n)
@@ -32,7 +32,6 @@ func blockingMWVCCongest(g *graph.Graph, eps float64, opts *Options) (*Result, e
 	cfg := congest.Config{
 		Graph:           g,
 		Model:           congest.CONGEST,
-		Engine:          opts.engine(),
 		BandwidthFactor: opts.bandwidthFactor(4),
 		MaxRounds:       opts.maxRounds(),
 		Seed:            opts.seed(),
@@ -210,26 +209,26 @@ func TestStepMWVCMatchesBlockingReference(t *testing.T) {
 	}
 	for name, g := range graphs {
 		for _, eps := range []float64{1, 0.5, 0.25} {
-			for _, mode := range []congest.EngineMode{congest.EngineGoroutine, congest.EngineBatch} {
-				opts := &Options{Seed: 7, Engine: mode}
+			for _, shards := range []int{0, 3} {
+				opts := &Options{Seed: 7, Shards: shards}
 				want, err := blockingMWVCCongest(g, eps, opts)
 				if err != nil {
-					t.Fatalf("%s eps=%v %v: reference: %v", name, eps, mode, err)
+					t.Fatalf("%s eps=%v shards=%d: reference: %v", name, eps, shards, err)
 				}
 				got, err := ApproxMWVCCongest(g, eps, opts)
 				if err != nil {
-					t.Fatalf("%s eps=%v %v: step: %v", name, eps, mode, err)
+					t.Fatalf("%s eps=%v shards=%d: step: %v", name, eps, shards, err)
 				}
 				if !got.Solution.Equal(want.Solution) {
-					t.Fatalf("%s eps=%v %v: solutions differ:\nstep:     %v\nblocking: %v",
-						name, eps, mode, got.Solution.Elements(), want.Solution.Elements())
+					t.Fatalf("%s eps=%v shards=%d: solutions differ:\nstep:     %v\nblocking: %v",
+						name, eps, shards, got.Solution.Elements(), want.Solution.Elements())
 				}
 				if got.PhaseISize != want.PhaseISize {
-					t.Fatalf("%s eps=%v %v: PhaseISize %d vs %d", name, eps, mode, got.PhaseISize, want.PhaseISize)
+					t.Fatalf("%s eps=%v shards=%d: PhaseISize %d vs %d", name, eps, shards, got.PhaseISize, want.PhaseISize)
 				}
 				if got.Stats != want.Stats {
-					t.Fatalf("%s eps=%v %v: stats differ:\nstep:     %+v\nblocking: %+v",
-						name, eps, mode, got.Stats, want.Stats)
+					t.Fatalf("%s eps=%v shards=%d: stats differ:\nstep:     %+v\nblocking: %+v",
+						name, eps, shards, got.Stats, want.Stats)
 				}
 			}
 		}

@@ -107,10 +107,9 @@ func (pg *powerGather) Step(nd *congest.Node) bool {
 	}
 	done = pg.flood.Step(nd)
 	// The span is emitted only when the stage actually spends rounds. A
-	// zero-hop flood (r ≤ 2) would begin and end within one handler
-	// activation — on the goroutine engine concurrent nodes' marks for the
-	// same key would then interleave nondeterministically through the
-	// engine's refcount, so the degenerate case emits nothing at all.
+	// zero-hop flood (r ≤ 2) would begin and end within one step and spend
+	// no rounds, so the degenerate case emits nothing at all (the span
+	// summaries pinned by the golden fixtures rely on it).
 	if first && !done {
 		nd.SpanBegin("phase2-near", 0)
 	}

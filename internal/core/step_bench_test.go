@@ -6,26 +6,23 @@ import (
 
 	"powergraph/internal/bitset"
 	"powergraph/internal/centralized"
-	"powergraph/internal/congest"
 	"powergraph/internal/graph"
 )
 
-// BenchmarkStepVsCoroutine compares, per algorithm, the batch engine's two
+// BenchmarkStepVsCoroutine compares, per algorithm, the engine's two
 // execution paths on one mid-size instance: the coroutine adapter driving
-// the preserved blocking reference (the only batch path PR 2 had for these
-// algorithms) against the native step program the registry now dispatches
-// to. Run it with `make bench-step`.
+// the preserved blocking reference against the native step program the
+// registry dispatches to. Run it with `make bench-step`.
 func BenchmarkStepVsCoroutine(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	g := graph.ConnectedGNP(256, 8.0/256, rng)
 	gw := graph.WithRandomWeights(g, 20, rng)
-	opts := &Options{Seed: 1, Engine: congest.EngineBatch}
+	opts := &Options{Seed: 1}
 	// The randomized variants never fire Phase I on a sparse instance
 	// (τ ≥ 10 > average degree), so their leader solves essentially the
 	// whole of G²; the polynomial 5/3 solver (Corollary 17) keeps that
 	// identical-in-both-paths local solve from drowning the engine numbers.
-	fastOpts := &Options{Seed: 1, Engine: congest.EngineBatch,
-		LocalSolver: func(h *graph.Graph) *bitset.Set { return centralized.FiveThirdsOnGraph(h).Cover }}
+	fastOpts := &Options{Seed: 1, LocalSolver: func(h *graph.Graph) *bitset.Set { return centralized.FiveThirdsOnGraph(h).Cover }}
 	// Reduced estimator factors keep the MDS rounds benchable; both paths
 	// run the identical schedule.
 	mdsOpts := &MDSOptions{Options: *opts, SampleFactor: 1, PhaseFactor: 1}

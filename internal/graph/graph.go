@@ -7,8 +7,8 @@
 // cutoff so million-node graphs stay O(n + m) memory.
 //
 // Graphs are immutable after construction via Builder, which makes them safe
-// to share — across the CONGEST simulator's nodes (either engine, any shard
-// count) and across harness workers running simulations on the same
+// to share — across the CONGEST simulator's nodes (at any shard count) and
+// across harness workers running simulations on the same
 // instance — without locking.
 package graph
 

@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"sort"
 
-	"powergraph/internal/congest"
-
 	"powergraph/internal/bitset"
 	"powergraph/internal/centralized"
 	"powergraph/internal/core"
@@ -53,12 +51,12 @@ type Algorithm struct {
 	// oracle reuses their cost instead of solving the instance twice.
 	Exact bool
 	// NativeStep marks distributed algorithms implemented as native
-	// congest.StepPrograms: the batch engine drives them with plain
+	// congest.StepPrograms: the engine drives them with plain
 	// per-round function calls, no goroutine or coroutine adapter anywhere
 	// (TestRegistryRunsNativelyOnBatchEngine enforces the claim).
 	NativeStep bool
 	// Spans declares the phase-span names this algorithm may emit when
-	// traced — the superset over every supported power and engine; any one
+	// traced — the superset over every supported power; any one
 	// run closes a subset (r = 1 skips Phase I entirely, for instance). Nil
 	// for centralized baselines, which never touch the simulator.
 	// TestRegistryTraceConformance pins emitted ⊆ declared.
@@ -114,10 +112,6 @@ const (
 )
 
 func distOpts(ctx context.Context, job Job, tr obs.Tracer) (*core.Options, error) {
-	engine, err := congest.ParseEngineMode(job.Engine)
-	if err != nil {
-		return nil, err
-	}
 	solver, err := parseLocalSolver(job.LocalSolver)
 	if err != nil {
 		return nil, err
@@ -129,7 +123,6 @@ func distOpts(ctx context.Context, job Job, tr obs.Tracer) (*core.Options, error
 	return &core.Options{
 		Ctx:             ctx,
 		Seed:            job.Seed,
-		Engine:          engine,
 		Shards:          job.Shards,
 		BandwidthFactor: job.BandwidthFactor,
 		MaxRounds:       job.MaxRounds,
@@ -267,7 +260,7 @@ var algorithms = map[string]*Algorithm{
 	"mvc-congest": {
 		Name: "mvc-congest", Model: ModelCongest, Problem: ProblemMVC, NeedsEps: true, NativeStep: true,
 		MinPower: distMinPower, MaxPower: distMaxPower,
-		Spans:    pipelineSpans, Estimator: leaderEstimator,
+		Spans: pipelineSpans, Estimator: leaderEstimator,
 		Description: "Algorithm 1 (Thm 1): deterministic (1+eps)-approx Gʳ-MVC (O(n/eps) CONGEST rounds at r=2)",
 		Run: func(ctx context.Context, g, _ *graph.Graph, job Job, tr obs.Tracer) (*core.Result, error) {
 			opts, err := distOpts(ctx, job, tr)
@@ -280,7 +273,7 @@ var algorithms = map[string]*Algorithm{
 	"mvc-congest-rand": {
 		Name: "mvc-congest-rand", Model: ModelCongest, Problem: ProblemMVC, NeedsEps: true, NativeStep: true,
 		MinPower: distMinPower, MaxPower: distMaxPower,
-		Spans:    pipelineSpans, Estimator: leaderEstimator,
+		Spans: pipelineSpans, Estimator: leaderEstimator,
 		Description: "Section 3.3: randomized voting Phase I in plain CONGEST (O(log n) heavy-neighborhood drain), Gʳ Phase II",
 		Run: func(ctx context.Context, g, _ *graph.Graph, job Job, tr obs.Tracer) (*core.Result, error) {
 			opts, err := distOpts(ctx, job, tr)
@@ -293,7 +286,7 @@ var algorithms = map[string]*Algorithm{
 	"mwvc-congest": {
 		Name: "mwvc-congest", Model: ModelCongest, Problem: ProblemMVC, NeedsEps: true, NativeStep: true,
 		MinPower: distMinPower, MaxPower: distMaxPower,
-		Spans:    pipelineSpans, Estimator: leaderEstimator,
+		Spans: pipelineSpans, Estimator: leaderEstimator,
 		Description: "Theorem 7: deterministic (1+eps)-approx weighted Gʳ-MVC via ripe weight classes",
 		Run: func(ctx context.Context, g, _ *graph.Graph, job Job, tr obs.Tracer) (*core.Result, error) {
 			opts, err := distOpts(ctx, job, tr)
@@ -306,7 +299,7 @@ var algorithms = map[string]*Algorithm{
 	"mvc-congest-53": {
 		Name: "mvc-congest-53", Model: ModelCongest, Problem: ProblemMVC, NativeStep: true,
 		MinPower: distMinPower, MaxPower: distMaxPower,
-		Spans:    pipelineSpans, Estimator: leaderEstimator,
+		Spans: pipelineSpans, Estimator: leaderEstimator,
 		Description: "Corollary 17: 5/3-approx G²-MVC with polynomial local work (heuristic local solver at other r)",
 		Run: func(ctx context.Context, g, _ *graph.Graph, job Job, tr obs.Tracer) (*core.Result, error) {
 			o, err := distOpts(ctx, job, tr)
@@ -322,7 +315,7 @@ var algorithms = map[string]*Algorithm{
 	"mvc-clique-det": {
 		Name: "mvc-clique-det", Model: ModelClique, Problem: ProblemMVC, NeedsEps: true, NativeStep: true,
 		MinPower: distMinPower, MaxPower: distMaxPower,
-		Spans:    cliqueSpans, Estimator: leaderEstimator,
+		Spans: cliqueSpans, Estimator: leaderEstimator,
 		Description: "Corollary 10: deterministic (1+eps)-approx Gʳ-MVC (O(eps·n + 1/eps) CONGESTED CLIQUE rounds at r=2)",
 		Run: func(ctx context.Context, g, _ *graph.Graph, job Job, tr obs.Tracer) (*core.Result, error) {
 			opts, err := distOpts(ctx, job, tr)
@@ -335,7 +328,7 @@ var algorithms = map[string]*Algorithm{
 	"mvc-clique-rand": {
 		Name: "mvc-clique-rand", Model: ModelClique, Problem: ProblemMVC, NeedsEps: true, NativeStep: true,
 		MinPower: distMinPower, MaxPower: distMaxPower,
-		Spans:    cliqueSpans, Estimator: leaderEstimator,
+		Spans: cliqueSpans, Estimator: leaderEstimator,
 		Description: "Theorem 11: randomized (1+eps)-approx Gʳ-MVC (O(log n + 1/eps) CONGESTED CLIQUE rounds at r=2)",
 		Run: func(ctx context.Context, g, _ *graph.Graph, job Job, tr obs.Tracer) (*core.Result, error) {
 			opts, err := distOpts(ctx, job, tr)
@@ -348,7 +341,7 @@ var algorithms = map[string]*Algorithm{
 	"mds-congest": {
 		Name: "mds-congest", Model: ModelCongest, Problem: ProblemMDS, NativeStep: true,
 		MinPower: distMinPower, MaxPower: distMaxPower,
-		Spans:    mdsSpans, Estimator: mdsEstimator,
+		Spans: mdsSpans, Estimator: mdsEstimator,
 		Description: "Theorem 28: randomized O(log Δʳ)-approx Gʳ-MDS in polylog(n) CONGEST rounds (sketch estimator)",
 		Run: func(ctx context.Context, g, _ *graph.Graph, job Job, tr obs.Tracer) (*core.Result, error) {
 			opts, err := distOpts(ctx, job, tr)

@@ -126,19 +126,7 @@ func TestGoldenJobs(t *testing.T) {
 	jobs := goldenJobs()
 	recs := make([]goldenJobRecord, len(jobs))
 	for i, job := range jobs {
-		var variants []goldenJobRecord
-		for _, engine := range []string{"goroutine", "batch"} {
-			j := job
-			j.Engine = engine
-			rec := goldenRecordOf(t, j)
-			rec.Job.Engine, rec.Result.Engine = "", ""
-			variants = append(variants, rec)
-		}
-		a, b := marshalGoldenJobs(t, variants[:1]), marshalGoldenJobs(t, variants[1:])
-		if !bytes.Equal(a, b) {
-			t.Fatalf("job %d: engines diverge:\ngoroutine: %s\nbatch:     %s", i, a, b)
-		}
-		recs[i] = variants[0]
+		recs[i] = goldenRecordOf(t, job)
 	}
 	got := marshalGoldenJobs(t, recs)
 

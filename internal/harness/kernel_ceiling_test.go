@@ -22,7 +22,6 @@ func ceilingJob(alg, gen string, maxWeight int64, n int) Job {
 		Power:       2,
 		Algorithm:   alg,
 		Epsilon:     0.5,
-		Engine:      "batch",
 		Trial:       0,
 		OracleN:     n,
 		LocalSolver: "kernel-exact",

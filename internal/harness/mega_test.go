@@ -7,7 +7,7 @@ import (
 
 // megaGolden pins the summary of the mega sweep's seeded 100k-vertex MDS
 // cell (specs/mega-sweep.json, rootSeed 20: connected-gnm n=100000 r=2
-// mds-congest, batch engine, trial 0).  The values were produced by
+// mds-congest, trial 0).  The values were produced by
 // `make sweep-mega` and are shard-independent by the determinism
 // contract — the test runs the cell at 8 shards and must reproduce the
 // shards=1 sweep row bit for bit.
@@ -37,7 +37,6 @@ func TestMegaGoldenSummary(t *testing.T) {
 		Power:     2,
 		Algorithm: "mds-congest",
 		Epsilon:   0,
-		Engine:    "batch",
 		Trial:     0,
 		Shards:    8,
 	}

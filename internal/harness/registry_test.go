@@ -8,7 +8,7 @@ import (
 
 // TestRegistryRunsNativelyOnBatchEngine proves the "zero coroutine
 // adaptations" claim: every distributed registry algorithm is flagged
-// NativeStep, and actually running each one on the batch engine never trips
+// NativeStep, and actually running each one never trips
 // the blocking-handler coroutine adapter (congest.AdapterRuns stays flat).
 func TestRegistryRunsNativelyOnBatchEngine(t *testing.T) {
 	before := congest.AdapterRuns()
@@ -23,7 +23,7 @@ func TestRegistryRunsNativelyOnBatchEngine(t *testing.T) {
 			t.Errorf("%s: distributed entry not flagged NativeStep", info.Name)
 		}
 		for _, n := range []int{9, 20} {
-			res := executeJob(differentialJob(info.Name, "batch", n, 0.5), nil)
+			res := executeJob(differentialJob(info.Name, n, 0.5), nil)
 			if res.Error != "" {
 				t.Fatalf("%s n=%d: %s", info.Name, n, res.Error)
 			}
@@ -50,8 +50,8 @@ func TestRegistryDescriptions(t *testing.T) {
 }
 
 // TestOracleCacheSolvesOncePerInstance pins the oracle-cache contract under
-// the widest sharing the harness produces: multiple algorithms, both
-// engines, and the full power axis in one sweep still trigger exactly one
+// the widest sharing the harness produces: multiple algorithms, two
+// shard counts, and the full power axis in one sweep still trigger exactly one
 // exact solve per (generator, n, power, instance-seed, problem) tuple — the
 // Gʳ cells (power ≠ 2) are cache cells of their own, never conflated with
 // the r = 2 solves of the same instance seed.
@@ -64,9 +64,9 @@ func TestOracleCacheSolvesOncePerInstance(t *testing.T) {
 		Sizes:      []int{12, 16},
 		Powers:     []int{1, 2, 3},
 		Algorithms: []string{"mvc-congest", "mwvc-congest", "mds-congest", "gavril", "exact", "exact-mds"},
-		// Both engines double every distributed job without changing the
-		// instance set — the cache must not solve anything twice for it.
-		EngineModes: []string{"goroutine", "batch"},
+		// Two shard counts double every distributed job without changing
+		// the instance set — the cache must not solve anything twice for it.
+		ShardCounts: []int{0, 2},
 		OracleN:     16,
 	}
 	jobs, _, err := spec.Expand()

@@ -32,7 +32,8 @@ type JobResult struct {
 	Model     string        `json:"model"`
 	Problem   string        `json:"problem"`
 	Epsilon   float64       `json:"epsilon,omitempty"`
-	Engine    string        `json:"engine,omitempty"`
+	// Engine echoes Job.Engine ("" or "batch").
+	Engine string `json:"engine,omitempty"`
 	// Gather is the generalized Phase-II gather mode the job ran with
 	// (empty = the sparsified default; see Spec.Gathers).
 	Gather string `json:"gather,omitempty"`
@@ -113,13 +114,12 @@ type JobResult struct {
 }
 
 // cellKey groups results into scenario cells for aggregation. Unlike
-// Job.cellKey (the seed-derivation key), it includes the engine mode, the
-// gather mode, and the shard count, so a two-engine, two-gather, or
-// multi-shard sweep aggregates each mode's measurements into separate,
-// comparable cells.
+// Job.cellKey (the seed-derivation key), it includes the gather mode and
+// the shard count, so a two-gather or multi-shard sweep aggregates each
+// mode's measurements into separate, comparable cells.
 func (r *JobResult) cellKey() string {
-	return fmt.Sprintf("%s|eng=%s|gm=%s|sh=%d",
-		scenarioKey(r.Generator, r.N, r.Power, r.Algorithm, r.Epsilon), r.Engine, r.Gather, r.Shards)
+	return fmt.Sprintf("%s|gm=%s|sh=%d",
+		scenarioKey(r.Generator, r.N, r.Power, r.Algorithm, r.Epsilon), r.Gather, r.Shards)
 }
 
 // Progress is delivered once per completed job, in emission (job-index)
@@ -493,11 +493,24 @@ func newJobResult(job Job) *JobResult {
 	}
 }
 
+// CheckEngine accepts the values Job.Engine may carry: "" and "batch", both
+// naming the one simulator engine. Any other value is an error.
+func CheckEngine(engine string) error {
+	if engine == "" || engine == "batch" {
+		return nil
+	}
+	return fmt.Errorf("engine %q is not supported: the engine option was removed and every run uses the one simulator engine (omit the field or send \"batch\")", engine)
+}
+
 // fillSolve is the execution core shared by sweep jobs (jobExec.run) and
 // resident-instance solves (SolveInstance): run the job's algorithm on the
 // given graph and power graph, verify feasibility on Gʳ, record simulator
 // stats, and consult the exact oracle when enabled.
 func fillSolve(ctx context.Context, out *JobResult, g, power *graph.Graph, job Job, tracer obs.Tracer, oracle *oracleCache) {
+	if err := CheckEngine(job.Engine); err != nil {
+		out.Error = err.Error()
+		return
+	}
 	alg, ok := lookupAlgorithm(job.Algorithm)
 	if !ok {
 		out.Error = fmt.Sprintf("unknown algorithm %q", job.Algorithm)

@@ -3,8 +3,8 @@ package harness
 import (
 	"bytes"
 	"context"
-	"errors"
 	"encoding/json"
+	"errors"
 	"math/rand"
 	"runtime"
 	"strings"
@@ -256,7 +256,7 @@ func TestSolveInstanceMatchesExecuteJob(t *testing.T) {
 			Generator: GeneratorSpec{Name: "connected-gnp"},
 			N:         20, Power: 2,
 			Algorithm: algName, Epsilon: 0.5,
-			Seed: 404, Engine: "batch", OracleN: 20,
+			Seed: 404, OracleN: 20,
 		}
 		want := executeJob(job, nil)
 		if want.Error != "" {
@@ -290,7 +290,7 @@ func TestSolveInstanceCanceled(t *testing.T) {
 		Generator: GeneratorSpec{Name: "connected-gnp"},
 		N:         24, Power: 2,
 		Algorithm: "mvc-congest", Epsilon: 0.5,
-		Seed: 7, Engine: "batch",
+		Seed: 7,
 	}
 	rng := rand.New(rand.NewSource(job.instanceSeed()))
 	g, err := job.Generator.Build(job.N, rng)

@@ -7,13 +7,13 @@ import (
 	"testing"
 )
 
-// differentialJob builds one job for the given algorithm and engine with a
-// fixed seed pair, the way Expand would.
-func differentialJob(alg string, engine string, n int, eps float64) Job {
+// differentialJob builds one job for the given algorithm with a fixed seed
+// pair, the way Expand would.
+func differentialJob(alg string, n int, eps float64) Job {
 	gen := GeneratorSpec{Name: "connected-gnp"}
 	j := Job{
 		Generator: gen, N: n, Power: 2, Algorithm: alg,
-		Epsilon: eps, Engine: engine, Trial: 0, OracleN: 26,
+		Epsilon: eps, Trial: 0, OracleN: 26,
 	}
 	j.Seed = deriveSeed(1, j.cellKey(), 0)
 	j.InstanceSeed = deriveSeed(1, j.instanceKey(), 0)
@@ -21,7 +21,7 @@ func differentialJob(alg string, engine string, n int, eps float64) Job {
 }
 
 // TestShardedEngineDeterministic runs every registered distributed
-// algorithm on the batch engine across its full supported power range at
+// algorithm across its full supported power range at
 // several shard counts — sequential, 2, a count that does not divide n,
 // and GOMAXPROCS — and requires byte-identical JobResults: solutions,
 // Stats, and span summaries all serialize to the same JSON at every shard
@@ -41,7 +41,7 @@ func TestShardedEngineDeterministic(t *testing.T) {
 				var want *JobResult
 				var wantJSON []byte
 				for _, sc := range shardCounts {
-					job := differentialJob(alg, "batch", 26, 0.5)
+					job := differentialJob(alg, 26, 0.5)
 					job.Power = r
 					job.Seed = deriveSeed(1, job.cellKey(), 0)
 					job.InstanceSeed = deriveSeed(1, job.instanceKey(), 0)
@@ -72,107 +72,6 @@ func TestShardedEngineDeterministic(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-// TestEngineDifferentialAllAlgorithms runs every registered distributed
-// algorithm under both execution engines on identical seeds and requires
-// identical measurements: solutions (cost and size), round counts, and all
-// message statistics. This is the acceptance gate for the batch engine —
-// the engines must be observationally indistinguishable on the paper's
-// algorithms, not just on microbenchmarks.
-func TestEngineDifferentialAllAlgorithms(t *testing.T) {
-	for _, alg := range AlgorithmNames() {
-		entry, _ := lookupAlgorithm(alg)
-		if entry.Model == ModelCentralized {
-			continue
-		}
-		t.Run(alg, func(t *testing.T) {
-			for _, n := range []int{9, 26} {
-				gor := executeJob(differentialJob(alg, "goroutine", n, 0.5), nil)
-				bat := executeJob(differentialJob(alg, "batch", n, 0.5), nil)
-				if gor.Error != "" || bat.Error != "" {
-					t.Fatalf("n=%d: errors: goroutine=%q batch=%q", n, gor.Error, bat.Error)
-				}
-				// Neutralize the fields that legitimately differ, then
-				// require everything else to match exactly.
-				gor.Engine, bat.Engine = "", ""
-				gor.Elapsed, bat.Elapsed = 0, 0
-				gor.Metrics, bat.Metrics = nil, nil
-				if *gor != *bat {
-					t.Fatalf("n=%d: engines diverge:\ngoroutine: %+v\nbatch:     %+v", n, *gor, *bat)
-				}
-				if !gor.Verified {
-					t.Fatalf("n=%d: solution failed feasibility", n)
-				}
-			}
-		})
-	}
-}
-
-// TestEngineAxisSweepIsDifferential runs a two-engine sweep through the
-// full Run path and checks that each (cell, trial) pair produced identical
-// measurements under both engines — the spec-level form of the
-// differential guarantee.
-func TestEngineAxisSweepIsDifferential(t *testing.T) {
-	spec := &Spec{
-		Name:     "diff",
-		RootSeed: 3,
-		Trials:   2,
-		Generators: []GeneratorSpec{
-			{Name: "connected-gnp"}, {Name: "random-tree"},
-		},
-		Sizes:       []int{14},
-		Algorithms:  []string{"mvc-congest", "mds-congest", "exact"},
-		EngineModes: []string{"goroutine", "batch"},
-		OracleN:     14,
-	}
-	rep, err := Run(context.Background(), spec, RunOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Failed != 0 {
-		t.Fatalf("%d jobs failed", rep.Failed)
-	}
-	type key struct {
-		cell  string
-		trial int
-	}
-	seen := map[key]JobResult{}
-	distributed := 0
-	for _, r := range rep.Results {
-		if r.Model == ModelCentralized {
-			if r.Engine != "" {
-				t.Fatalf("centralized job carries engine %q", r.Engine)
-			}
-			continue
-		}
-		distributed++
-		k := key{scenarioKey(r.Generator, r.N, r.Power, r.Algorithm, r.Epsilon), r.Trial}
-		prev, ok := seen[k]
-		if !ok {
-			seen[k] = r
-			continue
-		}
-		if prev.Engine == r.Engine {
-			t.Fatalf("duplicate engine %q for %v", r.Engine, k)
-		}
-		prev.Engine, r.Engine = "", ""
-		prev.Elapsed, r.Elapsed = 0, 0
-		prev.Metrics, r.Metrics = nil, nil
-		prev.Index, r.Index = 0, 0
-		if prev != r {
-			t.Fatalf("engines diverge for %v:\n%+v\n%+v", k, prev, r)
-		}
-	}
-	if want := 2 * 2 * 2; len(seen) != want || distributed != 2*want {
-		t.Fatalf("distributed results = %d over %d cells, want %d over %d",
-			distributed, len(seen), 2*want, want)
-	}
-	// The centralized exact baseline must appear once per scenario, not
-	// once per engine, and the expansion must say so.
-	if len(rep.Skipped) == 0 {
-		t.Fatal("expected engine-axis collapse notes for the centralized baseline")
 	}
 }
 

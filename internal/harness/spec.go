@@ -1,14 +1,15 @@
 // Package harness is the experiment-orchestration subsystem: it expands a
 // declarative scenario matrix (generator × n × algorithm × ε × power r ×
-// engine mode × trial) into concrete jobs with deterministic per-job seeds,
+// shard count × gather mode × trial) into concrete jobs with deterministic per-job seeds,
 // shards them across a worker pool with cancellation and per-job panic
 // isolation, and streams results into pluggable sinks (JSONL, CSV) before
 // aggregating approximation-ratio and round/message/bit statistics per
 // scenario cell.
 //
-// The subsystem exists so that every sweep in the repo — the EXPERIMENTS.md
-// presets, cmd/powerbench, and future perf PRs — reports numbers through the
-// same deterministic machinery instead of hand-rolled serial loops.
+// The subsystem exists so that every sweep in the repo — the cmd/experiments
+// presets, cmd/powerbench, and the perfbench workloads — reports numbers
+// through the same deterministic machinery instead of hand-rolled serial
+// loops.
 //
 // Determinism contract: a fixed Spec (including RootSeed) produces
 // byte-identical JSONL output regardless of worker count.  Per-job seeds are
@@ -17,10 +18,10 @@
 //
 // Three coordinates are deliberately excluded from seed derivation:
 //
-//   - The engine mode (Spec.EngineModes): the same cell under "goroutine"
-//     and "batch" replays the identical run, so a two-engine sweep is a
-//     built-in differential test of the simulator — measurements must
-//     match, only wall clock may differ.
+//   - The shard count (Spec.ShardCounts): the same cell at any shard count
+//     replays the identical run, so a multi-count sweep is a built-in
+//     determinism test of the shard barrier — measurements must match,
+//     only wall clock may differ.
 //   - The gather mode (Spec.Gathers): "legacy" and "sparsified" replay the
 //     identical instance and Phase-I run and must produce the same
 //     solution, so a two-mode sweep is a built-in differential test of the
@@ -42,8 +43,6 @@ import (
 	"hash/fnv"
 	"io"
 	"os"
-
-	"powergraph/internal/congest"
 )
 
 // Spec declares a scenario matrix.  Every combination of Generators × Sizes
@@ -71,15 +70,6 @@ type Spec struct {
 	// Epsilons is the ε grid for (1+ε)-approximation algorithms
 	// (default [0.5]); ignored by algorithms without an ε knob.
 	Epsilons []float64 `json:"epsilons,omitempty"`
-	// EngineModes lists the simulator execution engines to sweep
-	// ("goroutine", "batch"; default [""] = the engine default). The mode
-	// never enters seed derivation — the same cell under two engines runs
-	// the same seeds and must produce identical measurements, which makes a
-	// two-engine sweep a live differential test — but it does split
-	// aggregation cells, so BENCH summaries compare the engines' wall
-	// clocks side by side. Centralized baselines ignore the axis (they run
-	// once, with the empty mode).
-	EngineModes []string `json:"engineModes,omitempty"`
 	// OracleN enables the exact oracle: cells with n ≤ OracleN also solve
 	// the instance exactly and report the approximation ratio (default 0 =
 	// never; the exact solvers are exponential in the worst case).
@@ -89,28 +79,27 @@ type Spec struct {
 	BandwidthFactor int `json:"bandwidthFactor,omitempty"`
 	// MaxRounds aborts runaway distributed executions (0 = engine default).
 	MaxRounds int `json:"maxRounds,omitempty"`
-	// Shards splits the batch engine's per-round node sweep across that
-	// many workers inside each job (congest.Config.Shards; 0/1 = the
-	// sequential sweep, the goroutine engine ignores it). Like the engine
-	// mode it never enters seed derivation and must never change any
+	// Shards splits the engine's per-round node sweep across that many
+	// workers inside each job (congest.Config.Shards; 0/1 = the sequential
+	// sweep). It never enters seed derivation and must never change any
 	// measurement — a multi-shard sweep is a live determinism test of the
 	// shard barrier — so it only trades wall clock, which is what makes it
 	// worthwhile for the single huge jobs of the mega sweeps where
 	// job-level parallelism has nothing left to parallelize.
 	Shards int `json:"shards,omitempty"`
 	// ShardCounts sweeps the shard count as an axis (default [Shards]):
-	// one job per count for batch-engine cells, aggregated into separate
+	// one job per count for distributed cells, aggregated into separate
 	// BENCH cells so their wall clocks compare side by side — the mega
 	// sweep's shard-scaling curve. Like Shards itself the axis never
 	// enters seed derivation and must never change measurements, so a
 	// multi-count sweep doubles as a live determinism test of the shard
-	// barrier. Cells that ignore shards (non-batch engines, centralized
-	// baselines) collapse the axis to its first entry.
+	// barrier. Centralized baselines, which ignore shards, collapse the
+	// axis to its first entry.
 	ShardCounts []int `json:"shardCounts,omitempty"`
 	// Gathers sweeps the generalized Phase-II gather mode as an axis:
 	// "sparsified" (or "", the default) ships each near node's bounded
 	// StepSparsify certificate edges; "legacy" pins the PR-4 wire format
-	// (one-bit near flood, all incident edges). Like the engine mode the
+	// (one-bit near flood, all incident edges). Like the shard count the
 	// axis never enters seed derivation — both modes replay the identical
 	// instance and Phase-I run and must produce the same solution, which
 	// makes a two-mode sweep a live differential test of the sparsifier —
@@ -149,16 +138,17 @@ type Job struct {
 	Algorithm string        `json:"algorithm"`
 	// Epsilon is 0 for algorithms without an ε parameter.
 	Epsilon float64 `json:"epsilon,omitempty"`
-	// Engine is the simulator execution engine ("" = default goroutine;
-	// "batch" = the batched event-driven engine). It deliberately does not
-	// influence the derived seed: both engines replay the identical run.
+	// Engine must be "" or "batch", the one simulator engine; any other
+	// value fails the job (see CheckEngine). It stays so existing job and
+	// request payloads that name the engine keep working, and it never
+	// influences the derived seed.
 	Engine string `json:"engine,omitempty"`
 	Trial  int    `json:"trial"`
 	// Seed drives the algorithm's randomness.
 	Seed int64 `json:"seed"`
 	// InstanceSeed drives graph generation. Expand derives it from
-	// (generator, n, power, trial) only, so every algorithm (and engine
-	// mode) in a scenario cell runs on the identical instance — the paired
+	// (generator, n, power, trial) only, so every algorithm (and shard
+	// count) in a scenario cell runs on the identical instance — the paired
 	// design that makes cross-algorithm ratios meaningful and lets the
 	// runner's oracle cache solve each instance exactly once. Zero means
 	// "use Seed" (hand-built job lists keep their original behavior).
@@ -171,8 +161,8 @@ type Job struct {
 	Shards          int    `json:"shards,omitempty"`
 	LocalSolver     string `json:"localSolver,omitempty"`
 	// Gather is the generalized Phase-II gather mode ("" = "sparsified",
-	// "legacy" pins the PR-4 all-incident-edges path). Like the engine mode
-	// it never enters seed derivation: both modes replay the identical run
+	// "legacy" pins the all-incident-edges path). Like the shard count it
+	// never enters seed derivation: both modes replay the identical run
 	// and must produce the same solution.
 	Gather string `json:"gather,omitempty"`
 }
@@ -220,11 +210,6 @@ func (s *Spec) Validate() error {
 			return fmt.Errorf("harness: non-positive epsilon %v", e)
 		}
 	}
-	for _, m := range s.engineModes() {
-		if _, err := congest.ParseEngineMode(m); err != nil {
-			return err
-		}
-	}
 	if s.Trials < 0 {
 		return fmt.Errorf("harness: negative trial count %d", s.Trials)
 	}
@@ -266,13 +251,6 @@ func (s *Spec) epsilons() []float64 {
 		return []float64{0.5}
 	}
 	return s.Epsilons
-}
-
-func (s *Spec) engineModes() []string {
-	if len(s.EngineModes) == 0 {
-		return []string{""}
-	}
-	return s.EngineModes
 }
 
 func (s *Spec) gathers() []string {
@@ -324,60 +302,44 @@ func (s *Spec) Expand() ([]Job, ExpandReport, error) {
 						}
 						gathers = gathers[:1]
 					}
-					// Centralized baselines have no simulator, so the
-					// engine axis collapses to one mode-less job; extra
-					// modes are reported, not silently multiplied.
-					engines := s.engineModes()
+					// The shard axis only moves wall clock where a
+					// simulator runs; centralized baselines collapse it to
+					// its first entry, reported like the gather collapse.
+					counts := s.shardCounts()
 					if alg.Model == ModelCentralized {
-						if len(engines) > 1 {
+						if len(counts) > 1 {
 							rep.Skipped = append(rep.Skipped, fmt.Sprintf(
-								"%s × n=%d × r=%d: centralized algorithm %s ignores the engine axis (ran once)",
+								"%s × n=%d × r=%d: centralized algorithm %s ignores the shard axis (ran once)",
 								gen.Key(), n, r, name))
 						}
-						engines = []string{""}
+						counts = counts[:1]
 					}
-					for _, engine := range engines {
-						// The shard axis only moves wall clock on the batch
-						// engine; everywhere else it collapses to its first
-						// entry, reported like the engine collapse above.
-						counts := s.shardCounts()
-						if mode, err := congest.ParseEngineMode(engine); alg.Model == ModelCentralized ||
-							err != nil || mode != congest.EngineBatch {
-							if len(counts) > 1 {
-								rep.Skipped = append(rep.Skipped, fmt.Sprintf(
-									"%s × n=%d × r=%d: %s engine %q ignores the shard axis (ran once)",
-									gen.Key(), n, r, name, engine))
-							}
-							counts = counts[:1]
-						}
-						for _, shards := range counts {
-							for _, gather := range gathers {
-								for _, eps := range epsGrid {
-									for t := 0; t < s.trials(); t++ {
-										j := Job{
-											Index:           len(jobs),
-											Generator:       gen,
-											N:               n,
-											Power:           r,
-											Algorithm:       name,
-											Epsilon:         eps,
-											Engine:          engine,
-											Trial:           t,
-											OracleN:         s.OracleN,
-											BandwidthFactor: s.BandwidthFactor,
-											MaxRounds:       s.MaxRounds,
-											Shards:          shards,
-											LocalSolver:     s.LocalSolver,
-											Gather:          gather,
-										}
-										// Neither the engine mode, the shard
-										// count, nor the gather mode is part
-										// of the seed: every (engine, shards,
-										// gather) triple replays the same run.
-										j.Seed = deriveSeed(s.RootSeed, j.cellKey(), t)
-										j.InstanceSeed = deriveSeed(s.RootSeed, j.instanceKey(), t)
-										jobs = append(jobs, j)
+					for _, shards := range counts {
+						for _, gather := range gathers {
+							for _, eps := range epsGrid {
+								for t := 0; t < s.trials(); t++ {
+									j := Job{
+										Index:           len(jobs),
+										Generator:       gen,
+										N:               n,
+										Power:           r,
+										Algorithm:       name,
+										Epsilon:         eps,
+										Trial:           t,
+										OracleN:         s.OracleN,
+										BandwidthFactor: s.BandwidthFactor,
+										MaxRounds:       s.MaxRounds,
+										Shards:          shards,
+										LocalSolver:     s.LocalSolver,
+										Gather:          gather,
 									}
+									// Neither the shard count nor the gather
+									// mode is part of the seed: every
+									// (shards, gather) pair replays the same
+									// run.
+									j.Seed = deriveSeed(s.RootSeed, j.cellKey(), t)
+									j.InstanceSeed = deriveSeed(s.RootSeed, j.instanceKey(), t)
+									jobs = append(jobs, j)
 								}
 							}
 						}
@@ -405,7 +367,7 @@ func (j *Job) cellKey() string {
 }
 
 // instanceKey is the coordinate of the graph instance alone — no
-// algorithm, ε, or engine — so all algorithms of a scenario share it.
+// algorithm or ε — so all algorithms of a scenario share it.
 func (j *Job) instanceKey() string {
 	return fmt.Sprintf("%s|n=%d|r=%d|instance", j.Generator.Key(), j.N, j.Power)
 }

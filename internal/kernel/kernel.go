@@ -143,8 +143,8 @@ func (rc RuleCounts) Map() map[string]int {
 // Report describes one solve: which path it took and how hard the instance
 // really was. With the sole exception of the wall-clock ReduceNS/SolveNS
 // fields (excluded from serialization), it is a pure function of the input
-// graph, so identical instances yield identical reports on every engine and
-// worker.
+// graph, so identical instances yield identical reports at any shard count
+// and on any worker.
 type Report struct {
 	// Path is PathDirect, PathKernelExact, or PathKernelFallback.
 	Path string `json:"path"`

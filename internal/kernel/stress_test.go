@@ -6,7 +6,6 @@ import (
 	"testing"
 	"time"
 
-	"powergraph/internal/congest"
 	"powergraph/internal/core"
 	"powergraph/internal/exact"
 	"powergraph/internal/graph"
@@ -83,7 +82,7 @@ func TestLeaderCeilingRegression(t *testing.T) {
 	unweighted := graph.RandomTree(1000, rand.New(rand.NewSource(1)))
 	usq := unweighted.Square()
 	uOpt := usq.SetWeightOf(kernel.VertexCover(usq))
-	res, err := core.ApproxMVCCongestRandomized(unweighted, eps, &core.Options{Seed: 7, Engine: congest.EngineBatch})
+	res, err := core.ApproxMVCCongestRandomized(unweighted, eps, &core.Options{Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +102,7 @@ func TestLeaderCeilingRegression(t *testing.T) {
 	// Weighted congest MVC (Theorem 7) ships weights to the leader, so on
 	// the weighted instance its exact kernel-backed solve must keep the
 	// whole run within (1+ε) of the weighted optimum.
-	wres, err := core.ApproxMWVCCongest(g, eps, &core.Options{Seed: 7, Engine: congest.EngineBatch})
+	wres, err := core.ApproxMWVCCongest(g, eps, &core.Options{Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -16,11 +16,10 @@
 //     harness and for tests;
 //   - Multi fans events out to several tracers.
 //
-// Concurrency: the goroutine engine invokes SpanBegin/SpanEnd from handler
-// goroutines (serialized by the engine's span mutex, but interleaved with
-// driver-side Round calls), so Tracer implementations must be safe for
-// concurrent use. Within one round the relative order of span marks from
-// different nodes is unspecified; everything else is ordered.
+// Concurrency: one run's events arrive serialized and in order — sharded
+// sweeps stage span marks per shard and replay them at the round barrier in
+// node-id order. Tracer implementations must still be safe for concurrent
+// use, because one tracer may be shared by concurrent runs.
 package obs
 
 import (
@@ -90,7 +89,8 @@ type RoundEvent struct {
 // the engine round at which the mark occurred. Msgs is the cumulative
 // network message count delivered BEFORE that round — a round-boundary
 // snapshot, so end.Msgs − begin.Msgs prices exactly the traffic of the
-// half-open round interval [begin, end), deterministically on every engine.
+// half-open round interval [begin, end), deterministically at any shard
+// count.
 type Span struct {
 	Name  string `json:"name"`
 	Index int    `json:"index"`
@@ -210,12 +210,11 @@ func (w *JSONLWriter) Flush() error {
 func (w *JSONLWriter) Close() error { return w.Flush() }
 
 // spanAgg accumulates one (name, index) span instance inside a Collector.
-// Aggregation is keyed by the full instance, not the name alone: the engines
-// guarantee deterministic begin/end rounds per instance, but the emission
-// ORDER of marks from different instances within one round is unspecified on
-// the goroutine engine (a node's end(iter i) and begin(iter i+1) happen in
-// one handler activation, racing against its peers). Per-instance
-// aggregation makes the summary order-insensitive, hence deterministic.
+// Aggregation is keyed by the full instance, not the name alone: the engine
+// guarantees deterministic begin/end rounds per instance, while marks of
+// different instances interleave within one round (a node's end(iter i) and
+// begin(iter i+1) happen in one step, between its peers'). Per-instance
+// aggregation makes the summary independent of that interleaving.
 type spanAgg struct {
 	firstRound int   // round of the first begin — deterministic sort key
 	count      int   // completed begin→end pairs

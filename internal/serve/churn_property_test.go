@@ -35,7 +35,7 @@ func samePower(t *testing.T, label string, got, want *graph.Graph) {
 //  1. each incrementally-maintained Gʳ is byte-identical to a from-scratch
 //     view.Power(r), and
 //  2. a solve on the churned instance returns identical deterministic
-//     results on both engines and at shard counts {1, GOMAXPROCS}.
+//     results at shard counts {1, GOMAXPROCS}.
 func TestChurnPropertyIncrementalMatchesFull(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
 	base := graph.WithRandomWeights(graph.Grid(8, 8), 25, rng) // n=64, sparse: real splices
@@ -89,33 +89,32 @@ func TestChurnPropertyIncrementalMatchesFull(t *testing.T) {
 		t.Fatal("no churn batch exercised the incremental splice path")
 	}
 
-	// Engine / shard invariance on the churned instance: identical
-	// deterministic responses for every execution mode.
+	// Shard invariance on the churned instance: identical deterministic
+	// responses at every shard count. The result cache ignores the shard
+	// count, so it is cleared before each solve to force a fresh run.
 	shards := []int{1, runtime.GOMAXPROCS(0)}
 	for _, alg := range []string{"mvc-congest", "mwvc-congest", "mds-congest"} {
 		var want []byte
-		for _, engine := range []string{"goroutine", "batch"} {
-			for _, sh := range shards {
-				if engine == "goroutine" && sh != 1 {
-					continue // the goroutine engine ignores the shard knob
-				}
-				resp, err := inst.Solve(context.Background(), SolveRequest{
-					Algorithm: alg, Power: 2, Epsilon: 0.5, Seed: 9,
-					Engine: engine, Shards: sh, Oracle: true,
-				})
-				if err != nil {
-					t.Fatalf("%s %s shards=%d: %v", alg, engine, sh, err)
-				}
-				norm := *resp
-				norm.Cached = false
-				norm.DurationMs = 0
-				payload, _ := json.Marshal(norm)
-				if want == nil {
-					want = payload
-				} else if string(payload) != string(want) {
-					t.Fatalf("%s %s shards=%d diverges:\n got: %s\nwant: %s",
-						alg, engine, sh, payload, want)
-				}
+		for _, sh := range shards {
+			inst.resMu.Lock()
+			inst.results = make(map[string]*resEntry)
+			inst.resMu.Unlock()
+			resp, err := inst.Solve(context.Background(), SolveRequest{
+				Algorithm: alg, Power: 2, Epsilon: 0.5, Seed: 9,
+				Shards: sh, Oracle: true,
+			})
+			if err != nil {
+				t.Fatalf("%s shards=%d: %v", alg, sh, err)
+			}
+			if resp.Cached {
+				t.Fatalf("%s shards=%d: served from cache, not a fresh run", alg, sh)
+			}
+			resp.DurationMs = 0
+			payload, _ := json.Marshal(resp)
+			if want == nil {
+				want = payload
+			} else if string(payload) != string(want) {
+				t.Fatalf("%s shards=%d diverges:\n got: %s\nwant: %s", alg, sh, payload, want)
 			}
 		}
 	}

@@ -45,7 +45,7 @@ func doJSON(t *testing.T, ts *httptest.Server, method, path string, body any) (i
 }
 
 // TestServerSmokeGolden drives the whole HTTP surface once — create via
-// generator, solve on two engines, churn, cached re-solve — and pins the
+// generator, solve, cached re-solve, churn, post-churn solve — and pins the
 // deterministic part of each response against testdata/golden_smoke.json.
 // Regenerate with GOLDEN_UPDATE=1 go test ./internal/serve/ -run Golden.
 // It also checks that no goroutines leak once the server is closed.
@@ -76,20 +76,15 @@ func TestServerSmokeGolden(t *testing.T) {
 		t.Fatalf("create: HTTP %d: %v", status, body)
 	}
 
-	for _, engine := range []string{"goroutine", "batch"} {
-		status, body = doJSON(t, ts, "POST", "/v1/graphs/smoke/solve", SolveRequest{
-			Algorithm: "mvc-congest", Power: 2, Epsilon: 0.5, Engine: engine, Oracle: true,
-		})
-		record("solve-"+engine, status, body)
-		if status != http.StatusOK {
-			t.Fatalf("solve (%s): HTTP %d: %v", engine, status, body)
-		}
-		// The two engines replay the identical run, but the requests differ
-		// in the engine field — distinct cache keys, so both solves must be
-		// fresh executions.
-		if cached, _ := body["cached"].(bool); cached {
-			t.Fatalf("solve (%s) unexpectedly served from cache", engine)
-		}
+	status, body = doJSON(t, ts, "POST", "/v1/graphs/smoke/solve", SolveRequest{
+		Algorithm: "mvc-congest", Power: 2, Epsilon: 0.5, Engine: "batch", Oracle: true,
+	})
+	record("solve-batch", status, body)
+	if status != http.StatusOK {
+		t.Fatalf("solve: HTTP %d: %v", status, body)
+	}
+	if cached, _ := body["cached"].(bool); cached {
+		t.Fatal("first solve unexpectedly served from cache")
 	}
 
 	// Identical repeat: served from cache, byte-identical payload.
@@ -176,6 +171,44 @@ func TestServerSmokeGolden(t *testing.T) {
 	}
 }
 
+// TestSolveCacheIgnoresEngineAndShards: requests that differ only in the
+// engine name or the shard count produce byte-identical responses, so they
+// share one cache entry — the second and third solves are cache hits.
+func TestSolveCacheIgnoresEngineAndShards(t *testing.T) {
+	srv := New(Options{})
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	if _, err := srv.AddGraph("g", mustGNP(t, 16, 11)); err != nil {
+		t.Fatal(err)
+	}
+	var bodies []string
+	for i, req := range []SolveRequest{
+		{Algorithm: "mvc-congest", Epsilon: 0.5},
+		{Algorithm: "mvc-congest", Epsilon: 0.5, Engine: "batch"},
+		{Algorithm: "mvc-congest", Epsilon: 0.5, Shards: 2},
+	} {
+		status, body := doJSON(t, ts, "POST", "/v1/graphs/g/solve", req)
+		if status != http.StatusOK {
+			t.Fatalf("request %d: HTTP %d: %v", i, status, body)
+		}
+		if cached, _ := body["cached"].(bool); cached != (i > 0) {
+			t.Fatalf("request %d: cached = %v, want %v", i, cached, i > 0)
+		}
+		delete(body, "cached")
+		delete(body, "durationMs")
+		payload, _ := json.Marshal(body)
+		bodies = append(bodies, string(payload))
+	}
+	for i := 1; i < len(bodies); i++ {
+		if bodies[i] != bodies[0] {
+			t.Fatalf("request %d body differs:\n got: %s\nwant: %s", i, bodies[i], bodies[0])
+		}
+	}
+	if st := srv.instance("g").Info().Stats; st.Solves != 1 || st.CacheHits != 2 {
+		t.Fatalf("stats = %+v, want 1 solve and 2 cache hits", st)
+	}
+}
+
 // TestServerValidation: malformed and invalid requests come back as clean
 // 4xx envelopes, never 500s or panics.
 func TestServerValidation(t *testing.T) {
@@ -218,6 +251,16 @@ func TestServerValidation(t *testing.T) {
 	// Solve of an unknown algorithm and an unsupported power: 400s.
 	if _, err := srv.AddGraph("g", mustGNP(t, 16, 11)); err != nil {
 		t.Fatal(err)
+	}
+	// The removed goroutine engine (and any other engine name) and negative
+	// shard counts are rejected before they can reach the result cache.
+	status, body = doJSON(t, ts, "POST", "/v1/graphs/g/solve", SolveRequest{Algorithm: "mvc-congest", Epsilon: 0.5, Engine: "goroutine"})
+	if msg, _ := body["error"].(string); status != http.StatusBadRequest || !strings.Contains(msg, "engine option was removed") {
+		t.Errorf("goroutine engine: HTTP %d %v", status, body)
+	}
+	status, _ = doJSON(t, ts, "POST", "/v1/graphs/g/solve", SolveRequest{Algorithm: "mvc-congest", Epsilon: 0.5, Shards: -1})
+	if status != http.StatusBadRequest {
+		t.Errorf("negative shards: HTTP %d", status)
 	}
 	status, _ = doJSON(t, ts, "POST", "/v1/graphs/g/solve", SolveRequest{Algorithm: "no-such"})
 	if status != http.StatusBadRequest {

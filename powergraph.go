@@ -7,10 +7,11 @@
 // The package is a facade over the implementation packages:
 //
 //   - graph substrate with G²/Gʳ computation and generators;
-//   - a bit-accounting CONGEST / CONGESTED CLIQUE round simulator with two
-//     interchangeable execution engines (EngineGoroutine: one goroutine per
-//     node with barrier rounds; EngineBatch: batched event-driven, the fast
-//     choice at large n) and enforced O(log n)-bit messages;
+//   - a bit-accounting CONGEST / CONGESTED CLIQUE round simulator with
+//     enforced O(log n)-bit messages: one engine that advances every node
+//     round by round over reusable message buffers, optionally splitting
+//     each round's node sweep across worker shards (Options.Shards) with
+//     byte-identical results at any shard count;
 //   - the paper's distributed algorithms (Theorems 1, 7, 11, 28,
 //     Corollaries 10, 17) and centralized algorithms (Theorem 12,
 //     Lemma 6);
@@ -57,8 +58,9 @@
 //	    -sizes 32,64 -algorithms mvc-congest,mvc-clique-rand -trials 3
 //
 // which writes <name>.jsonl, <name>.csv and an aggregated
-// BENCH_<name>.json summary, and the EXPERIMENTS.md presets in
-// ./cmd/experiments, which pin explicit per-job seeds through RunJobs.
+// BENCH_<name>.json summary, and the experiment presets in
+// ./cmd/experiments, which pin explicit per-job seeds through RunJobs and
+// print their tables to stdout.
 package powergraph
 
 import (
@@ -100,10 +102,6 @@ type (
 	// Stats is the simulator's cost accounting (rounds, messages, bits,
 	// cut traffic).
 	Stats = congest.Stats
-	// EngineMode selects the simulator's execution engine (see
-	// EngineGoroutine and EngineBatch); set it via Options.Engine or a
-	// Spec's EngineModes axis.
-	EngineMode = congest.EngineMode
 	// FiveThirdsResult carries Algorithm 2's cover and per-part sets.
 	FiveThirdsResult = centralized.FiveThirdsResult
 	// Ratio reports solution cost against a reference optimum.
@@ -117,18 +115,6 @@ type (
 	KernelReport = kernel.Report
 	// KernelSolver is the configured kernelize-then-solve solver.
 	KernelSolver = kernel.Solver
-)
-
-// Simulator execution engines: both produce identical results for identical
-// seeds; EngineBatch is markedly faster at large n (see ARCHITECTURE.md).
-const (
-	// EngineGoroutine runs one goroutine per node with barrier rounds (the
-	// default).
-	EngineGoroutine = congest.EngineGoroutine
-	// EngineBatch advances all nodes round-by-round on one scheduler over
-	// flat message buffers — the engine that makes n ≥ 2000 sweeps
-	// practical.
-	EngineBatch = congest.EngineBatch
 )
 
 // NewBuilder returns a Builder for a graph on n vertices.
