@@ -75,6 +75,114 @@ func TestShardedEngineDeterministic(t *testing.T) {
 	}
 }
 
+// TestEngineDifferentialAllAlgorithms runs every registered distributed
+// algorithm through both spellings the engine field accepts — "" on the
+// sequential sweep and "batch" at 3 shards — on identical seeds, and
+// requires identical measurements: solutions (cost and size), round counts,
+// and all message statistics. The engine name a caller sends and the shard
+// count it asks for must be observationally invisible on the paper's
+// algorithms, at n = 9 and n = 26.
+func TestEngineDifferentialAllAlgorithms(t *testing.T) {
+	for _, alg := range AlgorithmNames() {
+		entry, _ := lookupAlgorithm(alg)
+		if entry.Model == ModelCentralized {
+			continue
+		}
+		t.Run(alg, func(t *testing.T) {
+			for _, n := range []int{9, 26} {
+				def := executeJob(differentialJob(alg, n, 0.5), nil)
+				named := differentialJob(alg, n, 0.5)
+				named.Engine, named.Shards = "batch", 3
+				bat := executeJob(named, nil)
+				if def.Error != "" || bat.Error != "" {
+					t.Fatalf("n=%d: errors: default=%q batch=%q", n, def.Error, bat.Error)
+				}
+				if bat.Engine != "batch" || bat.Shards != 3 {
+					t.Fatalf("n=%d: result echoes engine %q shards %d", n, bat.Engine, bat.Shards)
+				}
+				// Neutralize the fields that legitimately differ, then
+				// require everything else to match exactly.
+				def.Engine, bat.Engine = "", ""
+				def.Shards, bat.Shards = 0, 0
+				def.Elapsed, bat.Elapsed = 0, 0
+				def.Metrics, bat.Metrics = nil, nil
+				if *def != *bat {
+					t.Fatalf("n=%d: runs diverge:\ndefault: %+v\nbatch:   %+v", n, *def, *bat)
+				}
+				if !def.Verified {
+					t.Fatalf("n=%d: solution failed feasibility", n)
+				}
+			}
+		})
+	}
+}
+
+// TestEngineAxisSweepIsDifferential runs a sweep along the engine's one
+// axis, the shard count, through the full Run path and checks that each
+// (cell, trial) pair produced identical measurements at both counts — the
+// spec-level form of the differential guarantee. The centralized baseline
+// must run once per scenario, with the collapse reported.
+func TestEngineAxisSweepIsDifferential(t *testing.T) {
+	spec := &Spec{
+		Name:     "diff",
+		RootSeed: 3,
+		Trials:   2,
+		Generators: []GeneratorSpec{
+			{Name: "connected-gnp"}, {Name: "random-tree"},
+		},
+		Sizes:       []int{14},
+		Algorithms:  []string{"mvc-congest", "mds-congest", "exact"},
+		ShardCounts: []int{0, 3},
+		OracleN:     14,
+	}
+	rep, err := Run(context.Background(), spec, RunOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Failed != 0 {
+		t.Fatalf("%d jobs failed", rep.Failed)
+	}
+	type key struct {
+		cell  string
+		trial int
+	}
+	seen := map[key]JobResult{}
+	distributed, centralized := 0, 0
+	for _, r := range rep.Results {
+		if r.Model == ModelCentralized {
+			centralized++
+			continue
+		}
+		distributed++
+		k := key{scenarioKey(r.Generator, r.N, r.Power, r.Algorithm, r.Epsilon), r.Trial}
+		prev, ok := seen[k]
+		if !ok {
+			seen[k] = r
+			continue
+		}
+		if prev.Shards == r.Shards {
+			t.Fatalf("duplicate shard count %d for %v", r.Shards, k)
+		}
+		prev.Shards, r.Shards = 0, 0
+		prev.Elapsed, r.Elapsed = 0, 0
+		prev.Metrics, r.Metrics = nil, nil
+		prev.Index, r.Index = 0, 0
+		if prev != r {
+			t.Fatalf("shard counts diverge for %v:\n%+v\n%+v", k, prev, r)
+		}
+	}
+	if want := 2 * 2 * 2; len(seen) != want || distributed != 2*want {
+		t.Fatalf("distributed results = %d over %d cells, want %d over %d",
+			distributed, len(seen), 2*want, want)
+	}
+	if want := 2 * 2; centralized != want {
+		t.Fatalf("centralized results = %d, want %d (once per scenario and trial)", centralized, want)
+	}
+	if len(rep.Skipped) == 0 {
+		t.Fatal("expected shard-axis collapse notes for the centralized baseline")
+	}
+}
+
 // TestOracleCacheSharesInstanceAcrossAlgorithms checks the memoization
 // contract end to end: algorithms of one scenario cell run on the identical
 // graph (same InstanceSeed), so the per-run oracle solves each instance
