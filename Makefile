@@ -20,12 +20,13 @@ race:
 # Race-detector pass over the shard barrier, the only concurrent code in the
 # simulator: the sharded engine's worker pool under adversarial shard sizes
 # (empty shards, one-node shards), the sequential-vs-sharded random-traffic
-# differential, plus the harness-level sharded determinism differential —
-# the CI race-shard job.
+# differential, the harness-level sharded determinism differential, and the
+# allocation gate and Reset property test at shards 2 and 7 (program state
+# reused by value, stepped by the worker pool) — the CI race-shard job.
 race-shard:
 	$(GO) test -race -count=1 \
-		-run 'TestSharded|TestNegativeShardsRejected|TestEngineDifferentialRandomTraffic' \
-		./internal/congest/ ./internal/harness/
+		-run 'TestSharded|TestNegativeShardsRejected|TestEngineDifferentialRandomTraffic|TestRoundLoopAllocationFree|TestResetMatchesFresh' \
+		./internal/congest/ ./internal/congest/primitives/ ./internal/harness/
 
 # Race-detector pass over the serving layer: the churn property tests
 # (incremental Gʳ maintenance byte-identical to full recomputes, shard

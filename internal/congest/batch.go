@@ -44,7 +44,8 @@ const (
 )
 
 // stepper advances one node by one round. Implementations record outputs
-// and errors themselves; the scheduler only tracks liveness.
+// and errors themselves; the scheduler only tracks liveness (and records
+// the panics that escape step, see sweep).
 type stepper interface {
 	step() stepResult
 	// unwind releases any resource still held after an aborted run (the
@@ -99,15 +100,7 @@ func (e *engine) runBatch(steppers []stepper) error {
 		// stamp doubles as the duplicate-send guard for this round; it is
 		// round+1 so the zero value of a node's sentRound map never matches.
 		e.stamp = round + 1
-		for i, s := range steppers {
-			if !alive[i] {
-				continue
-			}
-			if s.step() == stepDone {
-				alive[i] = false
-				live--
-			}
-		}
+		live -= e.sweep(steppers, alive, 0, len(steppers))
 		if e.firstErr != nil {
 			return e.firstErr
 		}
@@ -120,52 +113,159 @@ func (e *engine) runBatch(steppers []stepper) error {
 	}
 }
 
-// deliverBatch moves every sending node's flat outbox into the destination
-// inboxes, accounting bits. Senders were registered in id order, so every
-// inbox stays sorted by sender; within one sender the queue order is
-// irrelevant because a sender queues at most one message per destination
-// per round. Only last round's receivers need their inboxes cleared, so a
-// quiet round costs nothing per idle node.
+// sweep steps every live node of [lo, hi) once, in id order, and reports
+// how many finished. Program panics are recovered once per sweep rather
+// than once per step: the panicking node's error is recorded, the node
+// finishes, and the sweep resumes after it.
+func (e *engine) sweep(steppers []stepper, alive []bool, lo, hi int) (finished int) {
+	for i := lo; i < hi; {
+		var k int
+		i, k = e.sweepFrom(steppers, alive, i, hi)
+		finished += k
+	}
+	return finished
+}
+
+// sweepFrom is sweep up to the first panic; it returns where to resume.
+func (e *engine) sweepFrom(steppers []stepper, alive []bool, i, hi int) (next, finished int) {
+	defer func() {
+		if r := recover(); r != nil {
+			e.nodeErr(&e.nodeSlab[i], panicErr(i, r))
+			alive[i] = false
+			finished++
+			next = i + 1
+		}
+	}()
+	for ; i < hi; i++ {
+		if alive[i] && steppers[i].step() == stepDone {
+			alive[i] = false
+			finished++
+		}
+	}
+	return hi, finished
+}
+
+// panicErr converts a recovered node-program panic into the node's error:
+// a MustSend-style abort keeps its own error, anything else is reported
+// with the panic value and the panicking frames.
+func panicErr(id int, r any) error {
+	if np, ok := r.(nodePanic); ok {
+		return np.err
+	}
+	return fmt.Errorf("congest: node %d panicked: %v [%s]", id, r, obs.StackSummary(3, 6))
+}
+
+// deliverBatch moves every sending node's queued messages into the
+// destination inboxes, accounting bits. Senders were registered in id
+// order, so every inbox stays sorted by sender; within one sender the queue
+// order is irrelevant because a sender queues at most one message per
+// destination per round. Only last round's receivers need their inboxes
+// cleared, so a quiet round costs nothing per idle node.
 func (e *engine) deliverBatch() {
 	for _, id := range e.receivers {
-		e.nodes[id].inbox = e.nodes[id].inbox[:0]
+		e.nodeSlab[id].inbox = e.nodeSlab[id].inbox[:0]
 	}
 	e.receivers = e.receivers[:0]
-	var roundBits, roundMsgs, maxLink int64
+	e.lastBits, e.lastMsgs, e.lastMaxLink = 0, 0, 0
 	for _, sid := range e.senders {
-		nd := e.nodes[sid]
+		nd := &e.nodeSlab[sid]
+		switch e.stamp {
+		case nd.bcastNbrs:
+			e.fanOut(sid, nd.bcastMsg, e.g.Adj(sid))
+		case nd.bcastAll:
+			n := e.g.N()
+			e.account(nd.bcastMsg, int64(n-1))
+			for to := 0; to < n; to++ {
+				if to != sid {
+					e.deliver(sid, to, nd.bcastMsg)
+				}
+			}
+		}
 		for k, to := range nd.outDst {
 			m := nd.outMsgs[k]
-			b := int64(m.Bits())
-			e.stats.TotalBits += b
-			roundBits += b
-			roundMsgs++
-			// One message per directed link per round, so the largest
-			// message is the max single-link bit volume this round.
-			if e.wantRounds && b > maxLink {
-				maxLink = b
-			}
-			if e.cutA != nil && e.cutA.Contains(nd.id) != e.cutA.Contains(to) {
-				e.stats.CutBits += b
-				e.stats.CutMessages++
-			}
-			dst := e.nodes[to]
-			if len(dst.inbox) == 0 {
-				e.receivers = append(e.receivers, to)
-			}
-			dst.inbox = append(dst.inbox, Incoming{From: nd.id, Msg: m})
+			e.account(m, 1)
+			e.deliver(sid, to, m)
 		}
 		nd.outDst = nd.outDst[:0]
 		nd.outMsgs = nd.outMsgs[:0]
+		nd.sending = false
 	}
 	e.senders = e.senders[:0]
-	e.lastBits, e.lastMsgs, e.lastMaxLink = roundBits, roundMsgs, maxLink
-	e.stats.Messages += roundMsgs
-	if roundBits > e.stats.MaxRoundBits {
-		e.stats.MaxRoundBits = roundBits
+	e.stats.TotalBits += e.lastBits
+	e.stats.Messages += e.lastMsgs
+	if e.lastBits > e.stats.MaxRoundBits {
+		e.stats.MaxRoundBits = e.lastBits
 	}
-	if roundMsgs > e.stats.MaxRoundMessages {
-		e.stats.MaxRoundMessages = roundMsgs
+	if e.lastMsgs > e.stats.MaxRoundMessages {
+		e.stats.MaxRoundMessages = e.lastMsgs
+	}
+}
+
+// account charges count copies of m to the round totals. One message per
+// directed link per round, so the largest message is the max single-link
+// bit volume this round.
+func (e *engine) account(m Message, count int64) {
+	b := int64(m.Bits())
+	e.lastBits += b * count
+	e.lastMsgs += count
+	if e.wantRounds && b > e.lastMaxLink {
+		e.lastMaxLink = b
+	}
+}
+
+// fanOut delivers one broadcast message to every destination in dsts: the
+// hot loop of every broadcast round, kept to one append per message.
+func (e *engine) fanOut(from int, m Message, dsts []int) {
+	e.account(m, int64(len(dsts)))
+	if e.cutA != nil {
+		for _, to := range dsts {
+			e.chargeCut(from, to, m)
+		}
+	}
+	in := Incoming{From: from, Msg: m}
+	nodes := e.nodeSlab
+	for _, to := range dsts {
+		dst := &nodes[to]
+		if len(dst.inbox) == 0 {
+			e.firstReceipt(dst)
+		}
+		dst.inbox = append(dst.inbox, in)
+	}
+}
+
+// deliver appends one message to its destination's inbox, charging cut
+// traffic.
+func (e *engine) deliver(from, to int, m Message) {
+	if e.cutA != nil {
+		e.chargeCut(from, to, m)
+	}
+	dst := &e.nodeSlab[to]
+	if len(dst.inbox) == 0 {
+		e.firstReceipt(dst)
+	}
+	dst.inbox = append(dst.inbox, Incoming{From: from, Msg: m})
+}
+
+// chargeCut counts m against the cut when it crosses between A and V∖A.
+func (e *engine) chargeCut(from, to int, m Message) {
+	if e.cutA.Contains(from) != e.cutA.Contains(to) {
+		e.stats.CutBits += int64(m.Bits())
+		e.stats.CutMessages++
+	}
+}
+
+// firstReceipt registers dst as this round's receiver (so the next
+// delivery clears its inbox). An inbox is sized on first use to the most a
+// node can receive in a round: one message per neighbor in CONGEST, per
+// other node in CONGESTED CLIQUE.
+func (e *engine) firstReceipt(dst *Node) {
+	e.receivers = append(e.receivers, dst.id)
+	if dst.inbox == nil {
+		size := e.g.Degree(dst.id)
+		if e.model == CongestedClique {
+			size = e.g.N() - 1
+		}
+		dst.inbox = make([]Incoming, 0, size)
 	}
 }
 
@@ -203,12 +303,8 @@ func (s *coroStepper[T]) body() iter.Seq[struct{}] {
 		s.nd.yield = yield
 		defer func() {
 			if r := recover(); r != nil {
-				if np, ok := r.(nodePanic); ok {
-					if np.err != errAborted {
-						s.eng.nodeErr(s.nd, np.err)
-					}
-				} else {
-					s.eng.nodeErr(s.nd, fmt.Errorf("congest: node %d panicked: %v [%s]", s.nd.id, r, obs.StackSummary(2, 6)))
+				if err := panicErr(s.nd.id, r); err != errAborted {
+					s.eng.nodeErr(s.nd, err)
 				}
 			}
 		}()
@@ -238,18 +334,8 @@ type progStepper[T any] struct {
 	outputs []T
 }
 
-func (s *progStepper[T]) step() (res stepResult) {
+func (s *progStepper[T]) step() stepResult {
 	s.nd.round = s.eng.stamp - 1
-	defer func() {
-		if r := recover(); r != nil {
-			if np, ok := r.(nodePanic); ok {
-				s.eng.nodeErr(s.nd, np.err)
-			} else {
-				s.eng.nodeErr(s.nd, fmt.Errorf("congest: node %d panicked: %v [%s]", s.nd.id, r, obs.StackSummary(2, 6)))
-			}
-			res = stepDone
-		}
-	}()
 	done, err := s.prog.Step(s.nd)
 	if err != nil {
 		s.eng.nodeErr(s.nd, fmt.Errorf("congest: node %d: %w", s.nd.id, err))

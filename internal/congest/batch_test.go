@@ -51,7 +51,7 @@ func TestBatchNeighborExchange(t *testing.T) {
 			nd.Broadcast(NewIntWidth(int64(nd.ID()), IDBits(nd.N())))
 			nd.NextRound()
 			for _, in := range nd.Recv() {
-				got = append(got, int(in.Msg.(Int).V))
+				got = append(got, int(in.Msg.Int()))
 			}
 		}
 		return got, nil
@@ -74,24 +74,24 @@ func TestBatchSendValidation(t *testing.T) {
 				nd.NextRound()
 				return 0, nil
 			}
-			if err := nd.Send(0, Flag{}); err == nil {
+			if err := nd.Send(0, Flag()); err == nil {
 				return 0, errors.New("self-send accepted")
 			}
-			if err := nd.Send(5, Flag{}); err == nil {
+			if err := nd.Send(5, Flag()); err == nil {
 				return 0, errors.New("out of range accepted")
 			}
-			if err := nd.Send(2, Flag{}); err == nil {
+			if err := nd.Send(2, Flag()); err == nil {
 				return 0, errors.New("non-neighbor accepted in CONGEST")
 			}
-			if err := nd.Send(1, Flag{}); err != nil {
+			if err := nd.Send(1, Flag()); err != nil {
 				return 0, err
 			}
-			if err := nd.Send(1, Flag{}); err == nil {
+			if err := nd.Send(1, Flag()); err == nil {
 				return 0, errors.New("duplicate per-round send accepted")
 			}
 			// The duplicate guard must reset at the round boundary.
 			nd.NextRound()
-			if err := nd.Send(1, Flag{}); err != nil {
+			if err := nd.Send(1, Flag()); err != nil {
 				return 0, fmt.Errorf("fresh-round send rejected: %w", err)
 			}
 			return 0, nil
@@ -106,7 +106,7 @@ func TestBatchEarlyFinisherAndDelivery(t *testing.T) {
 	g := graph.Path(3)
 	res := runShards(t, Config{Graph: g}, func(nd *Node) (int, error) {
 		if nd.ID() == 0 {
-			nd.MustSend(1, Flag{})
+			nd.MustSend(1, Flag())
 			return 1, nil // message queued in the final step must still arrive
 		}
 		nd.NextRound()
@@ -172,7 +172,7 @@ func TestBatchMustSendViolationAbortsRun(t *testing.T) {
 	for _, shards := range shardCounts {
 		_, err := Run(Config{Graph: graph.Path(3), Shards: shards}, func(nd *Node) (int, error) {
 			if nd.ID() == 0 {
-				nd.MustSend(2, Flag{}) // not a neighbor
+				nd.MustSend(2, Flag()) // not a neighbor
 			}
 			for i := 0; i < 10; i++ {
 				nd.NextRound()
@@ -279,7 +279,7 @@ func TestEngineDifferentialRandomTraffic(t *testing.T) {
 						}
 						nd.NextRound()
 						for _, in := range nd.Recv() {
-							sum += in.Msg.(Int).V * int64(in.From+1)
+							sum += in.Msg.Int() * int64(in.From+1)
 						}
 					}
 					return sum, nil
@@ -299,7 +299,7 @@ type floodProgram struct {
 func (p *floodProgram) Step(nd *Node) (bool, error) {
 	if p.rounds > 0 {
 		for _, in := range nd.Recv() {
-			if v := in.Msg.(Int).V; v < p.best {
+			if v := in.Msg.Int(); v < p.best {
 				p.best = v
 			}
 		}
@@ -326,7 +326,7 @@ func TestRunProgramMatchesHandler(t *testing.T) {
 			}
 			nd.NextRound()
 			for _, in := range nd.Recv() {
-				if v := in.Msg.(Int).V; v < best {
+				if v := in.Msg.Int(); v < best {
 					best = v
 				}
 			}
@@ -386,7 +386,7 @@ func TestRunProgramStepErrorAndPanic(t *testing.T) {
 	_, err = RunProgram(Config{Graph: g}, func(nd *Node) StepProgram[int] {
 		return stepFunc[int](func(n *Node) (bool, error) {
 			if n.ID() == 0 {
-				n.MustSend(2, Flag{}) // not a neighbor
+				n.MustSend(2, Flag()) // not a neighbor
 			}
 			return n.Round() >= 3, nil
 		})

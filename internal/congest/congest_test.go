@@ -27,11 +27,11 @@ func TestSingleRoundNeighborExchange(t *testing.T) {
 		nd.NextRound()
 		var got []int
 		for _, in := range nd.Recv() {
-			m := in.Msg.(Int)
-			if int64(in.From) != m.V {
-				return nil, fmt.Errorf("sender mismatch: %d vs %d", in.From, m.V)
+			v := in.Msg.Int()
+			if int64(in.From) != v {
+				return nil, fmt.Errorf("sender mismatch: %d vs %d", in.From, v)
 			}
-			got = append(got, int(m.V))
+			got = append(got, int(v))
 		}
 		return got, nil
 	})
@@ -64,7 +64,7 @@ func TestMessagesArriveNextRoundOnly(t *testing.T) {
 		if len(nd.Recv()) != 0 {
 			return 0, errors.New("round-0 inbox not empty")
 		}
-		nd.MustSend(1-nd.ID(), Flag{})
+		nd.MustSend(1-nd.ID(), Flag())
 		// Same round: still nothing.
 		if len(nd.Recv()) != 0 {
 			return 0, errors.New("message visible before barrier")
@@ -87,24 +87,24 @@ func TestSendValidation(t *testing.T) {
 			nd.NextRound()
 			return 0, nil
 		}
-		if err := nd.Send(0, Flag{}); err == nil {
+		if err := nd.Send(0, Flag()); err == nil {
 			return 0, errors.New("self-send accepted")
 		}
-		if err := nd.Send(5, Flag{}); err == nil {
+		if err := nd.Send(5, Flag()); err == nil {
 			return 0, errors.New("out of range accepted")
 		}
-		if err := nd.Send(2, Flag{}); err == nil {
+		if err := nd.Send(2, Flag()); err == nil {
 			return 0, errors.New("non-neighbor accepted in CONGEST")
 		}
-		if err := nd.Send(1, Flag{}); err != nil {
+		if err := nd.Send(1, Flag()); err != nil {
 			return 0, err
 		}
-		if err := nd.Send(1, Flag{}); err == nil {
+		if err := nd.Send(1, Flag()); err == nil {
 			return 0, errors.New("duplicate per-round send accepted")
 		}
 		// The duplicate guard must reset at the round boundary.
 		nd.NextRound()
-		if err := nd.Send(1, Flag{}); err != nil {
+		if err := nd.Send(1, Flag()); err != nil {
 			return 0, fmt.Errorf("fresh-round send rejected: %w", err)
 		}
 		return 0, nil
@@ -134,7 +134,7 @@ func TestMustSendViolationAbortsRun(t *testing.T) {
 	g := graph.Path(3)
 	_, err := Run(Config{Graph: g}, func(nd *Node) (int, error) {
 		if nd.ID() == 0 {
-			nd.MustSend(2, Flag{}) // not a neighbor: must abort the run
+			nd.MustSend(2, Flag()) // not a neighbor: must abort the run
 		}
 		for i := 0; i < 10; i++ {
 			nd.NextRound()
@@ -199,7 +199,7 @@ func TestCliqueModelAllToAll(t *testing.T) {
 		}
 		nd.NextRound()
 		if nd.ID() == 3 {
-			if len(nd.Recv()) != 1 || nd.Recv()[0].Msg.(Int).V != 42 {
+			if len(nd.Recv()) != 1 || nd.Recv()[0].Msg.Int() != 42 {
 				return 0, errors.New("clique message lost")
 			}
 			return 42, nil
@@ -271,7 +271,7 @@ func TestCutAccounting(t *testing.T) {
 	g := graph.Path(4)
 	cut := bitset.FromIndices(4, 0, 1)
 	res, err := Run(Config{Graph: g, CutA: cut}, func(nd *Node) (int, error) {
-		nd.Broadcast(Flag{})
+		nd.Broadcast(Flag())
 		nd.NextRound()
 		return 0, nil
 	})
@@ -394,7 +394,7 @@ func TestMessagesFromEarlyFinisherStillDelivered(t *testing.T) {
 	g := graph.Path(2)
 	res, err := Run(Config{Graph: g}, func(nd *Node) (bool, error) {
 		if nd.ID() == 0 {
-			nd.MustSend(1, Flag{})
+			nd.MustSend(1, Flag())
 			return true, nil // finish without NextRound; message must still go out
 		}
 		nd.NextRound()
@@ -415,7 +415,7 @@ func TestRecvFrom(t *testing.T) {
 		nd.NextRound()
 		if nd.ID() == 1 {
 			m, ok := nd.RecvFrom(2)
-			if !ok || m.(Int).V != 2 {
+			if !ok || m.Int() != 2 {
 				return 0, errors.New("RecvFrom(2) failed")
 			}
 			if _, ok := nd.RecvFrom(1); ok {

@@ -23,7 +23,6 @@ type engine struct {
 	// cancellation (checked via ctxErr, one poll per round).
 	ctx context.Context
 
-	nodes []*Node
 	stats Stats
 
 	// firstErr is the run's first node failure in id order.
@@ -40,8 +39,8 @@ type engine struct {
 
 	// Sharded scheduling (see shard.go): shards is the worker count
 	// for the per-round node sweep (≤ 1 means sequential), shardStates the
-	// per-shard staging buffers, and nodeSlab the backing array all Node
-	// values live in (one allocation instead of n).
+	// per-shard staging buffers, and nodeSlab every Node by id (one
+	// allocation instead of n).
 	shards      int
 	shardStates []shardState
 	nodeSlab    []Node
@@ -251,16 +250,16 @@ func newEngine(cfg Config) (*engine, error) {
 		eng.wantRounds = cfg.Tracer.WantRounds()
 	}
 	eng.stats.Bandwidth = eng.bandwidth
+	// At most every node sends and receives in a round.
+	eng.senders = make([]int, 0, n)
+	eng.receivers = make([]int, 0, n)
 	// One slab allocation for all node state; per-node duplicate-send
 	// guards and random streams are created lazily so a million-node run
 	// pays only for what its algorithm uses.
 	eng.nodeSlab = make([]Node, n)
-	eng.nodes = make([]*Node, n)
-	for i := 0; i < n; i++ {
-		nd := &eng.nodeSlab[i]
-		nd.id = i
-		nd.eng = eng
-		eng.nodes[i] = nd
+	for i := range eng.nodeSlab {
+		eng.nodeSlab[i].id = i
+		eng.nodeSlab[i].eng = eng
 	}
 	return eng, nil
 }
@@ -305,8 +304,8 @@ func run[T any](cfg Config, newStepper func(eng *engine, nd *Node, outputs []T) 
 	}
 	outputs := make([]T, n)
 	steppers := make([]stepper, n)
-	for i, nd := range eng.nodes {
-		steppers[i] = newStepper(eng, nd, outputs)
+	for i := range steppers {
+		steppers[i] = newStepper(eng, &eng.nodeSlab[i], outputs)
 	}
 	if err := eng.runBatchToCompletion(steppers); err != nil {
 		return nil, err

@@ -17,7 +17,7 @@ func Example() {
 		nd.NextRound()
 		sum := 0
 		for _, in := range nd.Recv() {
-			sum += int(in.Msg.(congest.Int).V)
+			sum += int(in.Msg.Int())
 		}
 		return sum, nil
 	})
@@ -43,7 +43,7 @@ type minProgram struct {
 
 func (p *minProgram) Step(nd *congest.Node) (bool, error) {
 	for _, in := range nd.Recv() {
-		if v := in.Msg.(congest.Int).V; v < p.best {
+		if v := in.Msg.Int(); v < p.best {
 			p.best = v
 		}
 	}

@@ -46,7 +46,7 @@ func MinIDLeader(nd *congest.Node) int {
 		nd.BroadcastNeighbors(congest.NewIntWidth(best, w))
 		nd.NextRound()
 		for _, in := range nd.Recv() {
-			if v := in.Msg.(congest.Int).V; v < best {
+			if v := in.Msg.Int(); v < best {
 				best = v
 			}
 		}
@@ -68,7 +68,7 @@ func BFSTree(nd *congest.Node, root int) Tree {
 	announce := joined // send the join wave this round?
 	for r := 0; r < n; r++ {
 		if announce {
-			nd.BroadcastNeighbors(congest.Flag{})
+			nd.BroadcastNeighbors(congest.Flag())
 			announce = false
 		}
 		nd.NextRound()
@@ -86,7 +86,7 @@ func BFSTree(nd *congest.Node, root int) Tree {
 	}
 	// Child notification round.
 	if t.Parent != -1 {
-		nd.MustSend(t.Parent, congest.Flag{})
+		nd.MustSend(t.Parent, congest.Flag())
 	}
 	nd.NextRound()
 	for _, in := range nd.Recv() {
@@ -111,8 +111,8 @@ func ConvergecastSum(nd *congest.Node, t Tree, value int64) int64 {
 		}
 		nd.NextRound()
 		for _, in := range nd.Recv() {
-			if m, ok := in.Msg.(congest.Int); ok && contains(t.Children, in.From) {
-				acc += m.V
+			if in.Msg.Kind() == congest.KindInt && contains(t.Children, in.From) {
+				acc += in.Msg.Int()
 				pending--
 			}
 		}
@@ -143,7 +143,7 @@ func BroadcastFromRoot(nd *congest.Node, t Tree, value int64) int64 {
 		nd.NextRound()
 		if !have {
 			if m, ok := nd.RecvFrom(t.Parent); ok {
-				v = m.(congest.Int).V
+				v = m.Int()
 				have = true
 				relay = true
 			}
@@ -248,7 +248,7 @@ func TwoHopMax(nd *congest.Node, value int64) int64 {
 	nd.NextRound()
 	m1 := value
 	for _, in := range nd.Recv() {
-		if v := in.Msg.(congest.Int).V; v > m1 {
+		if v := in.Msg.Int(); v > m1 {
 			m1 = v
 		}
 	}
@@ -256,7 +256,7 @@ func TwoHopMax(nd *congest.Node, value int64) int64 {
 	nd.NextRound()
 	m2 := m1
 	for _, in := range nd.Recv() {
-		if v := in.Msg.(congest.Int).V; v > m2 {
+		if v := in.Msg.Int(); v > m2 {
 			m2 = v
 		}
 	}

@@ -183,7 +183,7 @@ func TestGatherAtRootContentIntegrity(t *testing.T) {
 		}
 		counts := map[int64]int{}
 		for _, m := range got {
-			counts[m.(congest.Int).V]++
+			counts[m.Int()]++
 		}
 		return counts, nil
 	})
@@ -208,7 +208,7 @@ func TestGatherRoundsLinearInItems(t *testing.T) {
 			tr := BFSTree(nd, 0)
 			items := make([]congest.Message, c)
 			for i := range items {
-				items[i] = congest.Flag{}
+				items[i] = congest.Flag()
 			}
 			GatherAtRoot(nd, tr, items)
 			return 0, nil
@@ -294,7 +294,7 @@ func TestFloodItemsFromRoot(t *testing.T) {
 				got := FloodItemsFromRoot(nd, tr, items)
 				out := make([]int64, 0, len(got))
 				for _, m := range got {
-					out = append(out, m.(congest.Int).V)
+					out = append(out, m.Int())
 				}
 				return out, nil
 			})

@@ -2,6 +2,7 @@ package primitives
 
 import (
 	"fmt"
+	"slices"
 
 	"powergraph/internal/congest"
 )
@@ -29,6 +30,10 @@ import (
 // its blocking counterpart, so a program assembled from these stages is
 // indistinguishable — outputs and statistics — from the blocking handler it
 // replaces; TestStepPrimitivesMatchBlocking checks exactly that.
+//
+// Programs hold the stages they rerun by value and restart them with Reset,
+// which matches the New* constructor (TestResetMatchesFresh) but keeps the
+// stage's buffers, so a phase that has run once allocates nothing.
 
 // StepMinIDLeader is the step form of MinIDLeader: n slices of minimum-id
 // flooding, done on slice n.
@@ -39,15 +44,19 @@ type StepMinIDLeader struct {
 }
 
 // NewStepMinIDLeader starts a leader election at this node.
-func NewStepMinIDLeader(nd *congest.Node) *StepMinIDLeader {
-	return &StepMinIDLeader{n: nd.N(), w: congest.IDBits(nd.N()), best: int64(nd.ID())}
+func NewStepMinIDLeader(nd *congest.Node) *StepMinIDLeader { return new(StepMinIDLeader).Reset(nd) }
+
+// Reset restarts s exactly as NewStepMinIDLeader would.
+func (s *StepMinIDLeader) Reset(nd *congest.Node) *StepMinIDLeader {
+	*s = StepMinIDLeader{n: nd.N(), w: congest.IDBits(nd.N()), best: int64(nd.ID())}
+	return s
 }
 
 // Step advances one round-slice.
 func (s *StepMinIDLeader) Step(nd *congest.Node) bool {
 	if s.r > 0 {
 		for _, in := range nd.Recv() {
-			if v := in.Msg.(congest.Int).V; v < s.best {
+			if v := in.Msg.Int(); v < s.best {
 				s.best = v
 			}
 		}
@@ -74,8 +83,11 @@ type StepBFSTree struct {
 }
 
 // NewStepBFSTree starts BFS tree construction rooted at root.
-func NewStepBFSTree(nd *congest.Node, root int) *StepBFSTree {
-	s := &StepBFSTree{n: nd.N(), t: Tree{Root: root, Parent: -1, Depth: -1}}
+func NewStepBFSTree(nd *congest.Node, root int) *StepBFSTree { return new(StepBFSTree).Reset(nd, root) }
+
+// Reset restarts s exactly as NewStepBFSTree would.
+func (s *StepBFSTree) Reset(nd *congest.Node, root int) *StepBFSTree {
+	*s = StepBFSTree{n: nd.N(), t: Tree{Root: root, Parent: -1, Depth: -1}}
 	if nd.ID() == root {
 		s.t.Depth = 0
 		s.joined = true
@@ -104,11 +116,11 @@ func (s *StepBFSTree) Step(nd *congest.Node) bool {
 		}
 	}
 	if s.r < s.n && s.announce {
-		nd.BroadcastNeighbors(congest.Flag{})
+		nd.BroadcastNeighbors(congest.Flag())
 		s.announce = false
 	}
 	if s.r == s.n && s.t.Parent != -1 {
-		nd.MustSend(s.t.Parent, congest.Flag{})
+		nd.MustSend(s.t.Parent, congest.Flag())
 	}
 	s.r++
 	return false
@@ -134,12 +146,17 @@ func NewStepConvergecastSum(nd *congest.Node, t *Tree, value int64) *StepConverg
 	return &StepConvergecastSum{n: nd.N(), t: t, acc: value, pending: len(t.Children)}
 }
 
+// Reset restarts s exactly as NewStepConvergecastSum would.
+func (s *StepConvergecastSum) Reset(nd *congest.Node, t *Tree, value int64) {
+	*s = *NewStepConvergecastSum(nd, t, value)
+}
+
 // Step advances one round-slice.
 func (s *StepConvergecastSum) Step(nd *congest.Node) bool {
 	if s.r >= 1 {
 		for _, in := range nd.Recv() {
-			if m, ok := in.Msg.(congest.Int); ok && contains(s.t.Children, in.From) {
-				s.acc += m.V
+			if in.Msg.Kind() == congest.KindInt && contains(s.t.Children, in.From) {
+				s.acc += in.Msg.Int()
 				s.pending--
 			}
 		}
@@ -177,7 +194,12 @@ type StepBroadcastFromRoot struct {
 // NewStepBroadcastFromRoot starts flooding value down from the root of t
 // (non-root callers pass anything; their argument is ignored).
 func NewStepBroadcastFromRoot(nd *congest.Node, t *Tree, value int64) *StepBroadcastFromRoot {
-	s := &StepBroadcastFromRoot{n: nd.N(), t: t}
+	return new(StepBroadcastFromRoot).Reset(nd, t, value)
+}
+
+// Reset restarts s exactly as NewStepBroadcastFromRoot would.
+func (s *StepBroadcastFromRoot) Reset(nd *congest.Node, t *Tree, value int64) *StepBroadcastFromRoot {
+	*s = StepBroadcastFromRoot{n: nd.N(), t: t}
 	if t.Parent == -1 {
 		s.have, s.relay, s.v = true, true, value
 	}
@@ -188,7 +210,7 @@ func NewStepBroadcastFromRoot(nd *congest.Node, t *Tree, value int64) *StepBroad
 func (s *StepBroadcastFromRoot) Step(nd *congest.Node) bool {
 	if s.r >= 1 && !s.have {
 		if m, ok := nd.RecvFrom(s.t.Parent); ok {
-			s.v = m.(congest.Int).V
+			s.v = m.Int()
 			s.have = true
 			s.relay = true
 		}
@@ -216,22 +238,28 @@ type StepGatherAtRoot struct {
 	t         *Tree
 	items     []congest.Message
 	sub       int
-	conv      *StepConvergecastSum
-	bcast     *StepBroadcastFromRoot
-	queue     []congest.Message
+	conv      StepConvergecastSum
+	bcast     StepBroadcastFromRoot
+	queue     msgQueue
 	collected []congest.Message
 	r, rounds int
 }
 
 // NewStepGatherAtRoot starts gathering this node's items at the root of t.
 func NewStepGatherAtRoot(nd *congest.Node, t *Tree, items []congest.Message) *StepGatherAtRoot {
+	return new(StepGatherAtRoot).Reset(nd, t, items)
+}
+
+// Reset restarts s exactly as NewStepGatherAtRoot would.
+func (s *StepGatherAtRoot) Reset(nd *congest.Node, t *Tree, items []congest.Message) *StepGatherAtRoot {
 	for i, it := range items {
 		if it.Bits() > nd.Bandwidth() {
 			panicCollective(fmt.Sprintf("primitives: item %d of node %d has %d bits > budget %d",
 				i, nd.ID(), it.Bits(), nd.Bandwidth()))
 		}
 	}
-	return &StepGatherAtRoot{t: t, items: items, conv: NewStepConvergecastSum(nd, t, int64(len(items)))}
+	*s = StepGatherAtRoot{t: t, items: items, conv: *NewStepConvergecastSum(nd, t, int64(len(items)))}
+	return s
 }
 
 // Step advances one round-slice.
@@ -242,15 +270,20 @@ func (s *StepGatherAtRoot) Step(nd *congest.Node) bool {
 			if !s.conv.Step(nd) {
 				return false
 			}
-			s.bcast = NewStepBroadcastFromRoot(nd, s.t, s.conv.Sum())
+			s.bcast.Reset(nd, s.t, s.conv.Sum())
 			s.sub = 1
 		case 1:
 			if !s.bcast.Step(nd) {
 				return false
 			}
-			s.rounds = int(s.bcast.Value()) + nd.N()
-			s.queue = make([]congest.Message, len(s.items))
-			copy(s.queue, s.items)
+			total := int(s.bcast.Value())
+			s.rounds = total + nd.N()
+			s.queue.buf = slices.Clone(s.items)
+			if s.t.Parent == -1 {
+				// The root ends holding every item: size the collection
+				// once instead of growing it while the pipeline runs.
+				s.collected = make([]congest.Message, 0, total)
+			}
 			s.sub = 2
 		default:
 			if s.r >= 1 {
@@ -259,7 +292,7 @@ func (s *StepGatherAtRoot) Step(nd *congest.Node) bool {
 						if s.t.Parent == -1 {
 							s.collected = append(s.collected, in.Msg)
 						} else {
-							s.queue = append(s.queue, in.Msg)
+							s.queue.push(in.Msg)
 						}
 					}
 				}
@@ -270,9 +303,10 @@ func (s *StepGatherAtRoot) Step(nd *congest.Node) bool {
 				}
 				return true
 			}
-			if len(s.queue) > 0 && s.t.Parent != -1 {
-				nd.MustSend(s.t.Parent, s.queue[0])
-				s.queue = s.queue[1:]
+			if s.t.Parent != -1 {
+				if m, ok := s.queue.pop(); ok {
+					nd.MustSend(s.t.Parent, m)
+				}
 			}
 			s.r++
 			return false
@@ -289,15 +323,40 @@ func (s *StepGatherAtRoot) Collected() []congest.Message {
 	return nil
 }
 
+// msgQueue is a FIFO over one reused buffer: pops advance head, and a push
+// into a full buffer first slides the live tail to the front when at least
+// half of the buffer is spent, so a pipeline allocates only when its
+// backlog grows.
+type msgQueue struct {
+	buf  []congest.Message
+	head int
+}
+
+func (q *msgQueue) push(m congest.Message) {
+	if len(q.buf) == cap(q.buf) && 2*q.head >= len(q.buf) {
+		q.buf, q.head = q.buf[:copy(q.buf, q.buf[q.head:])], 0
+	}
+	q.buf = append(q.buf, m)
+}
+
+func (q *msgQueue) pop() (m congest.Message, ok bool) {
+	if q.head == len(q.buf) {
+		return m, false
+	}
+	q.head++
+	return q.buf[q.head-1], true
+}
+
 // StepFloodItemsFromRoot is the step form of FloodItemsFromRoot: the item
 // count becomes common knowledge, then total+n pipeline slices stream the
 // root's items to every node.
 type StepFloodItemsFromRoot struct {
-	t         *Tree
-	sub       int
-	conv      *StepConvergecastSum
-	bcast     *StepBroadcastFromRoot
-	queue     []congest.Message
+	t     *Tree
+	sub   int
+	conv  StepConvergecastSum
+	bcast StepBroadcastFromRoot
+	// got holds the items received so far, in root order; sendIdx is the
+	// next one to forward to the children.
 	got       []congest.Message
 	sendIdx   int
 	r, rounds int
@@ -306,14 +365,18 @@ type StepFloodItemsFromRoot struct {
 // NewStepFloodItemsFromRoot starts flooding the root's items down the tree;
 // non-root callers pass nil items.
 func NewStepFloodItemsFromRoot(nd *congest.Node, t *Tree, items []congest.Message) *StepFloodItemsFromRoot {
-	s := &StepFloodItemsFromRoot{t: t}
+	return new(StepFloodItemsFromRoot).Reset(nd, t, items)
+}
+
+// Reset restarts s exactly as NewStepFloodItemsFromRoot would.
+func (s *StepFloodItemsFromRoot) Reset(nd *congest.Node, t *Tree, items []congest.Message) *StepFloodItemsFromRoot {
+	*s = StepFloodItemsFromRoot{t: t}
 	var total int64
 	if t.Parent == -1 {
 		total = int64(len(items))
-		s.queue = append(s.queue, items...)
-		s.got = append(s.got, items...)
+		s.got = slices.Clone(items)
 	}
-	s.conv = NewStepConvergecastSum(nd, t, total)
+	s.conv = *NewStepConvergecastSum(nd, t, total)
 	return s
 }
 
@@ -325,27 +388,29 @@ func (s *StepFloodItemsFromRoot) Step(nd *congest.Node) bool {
 			if !s.conv.Step(nd) {
 				return false
 			}
-			s.bcast = NewStepBroadcastFromRoot(nd, s.t, s.conv.Sum())
+			s.bcast.Reset(nd, s.t, s.conv.Sum())
 			s.sub = 1
 		case 1:
 			if !s.bcast.Step(nd) {
 				return false
 			}
-			s.rounds = int(s.bcast.Value()) + nd.N()
+			total := int(s.bcast.Value())
+			s.rounds = total + nd.N()
+			// Every node ends holding all total items: size the buffer once.
+			s.got = slices.Grow(s.got, total-len(s.got))
 			s.sub = 2
 		default:
 			if s.r >= 1 && s.t.Parent != -1 {
 				if m, ok := nd.RecvFrom(s.t.Parent); ok {
-					s.queue = append(s.queue, m)
 					s.got = append(s.got, m)
 				}
 			}
 			if s.r == s.rounds {
 				return true
 			}
-			if s.sendIdx < len(s.queue) {
+			if s.sendIdx < len(s.got) {
 				for _, c := range s.t.Children {
-					nd.MustSend(c, s.queue[s.sendIdx])
+					nd.MustSend(c, s.got[s.sendIdx])
 				}
 				s.sendIdx++
 			}
@@ -374,16 +439,18 @@ func NewStepHopMax(value int64, width, hops int) *StepHopMax {
 	return &StepHopMax{m: value, w: width, k: hops}
 }
 
-// NewStepTwoHopMax is the step form of TwoHopMax (2 natural-width flood
-// slices, done on slice 2): the "maximum ID in its two hop neighborhood"
-// test of Theorem 1's Phase I.
-func NewStepTwoHopMax(value int64) *StepHopMax { return NewStepRHopMax(value, 2) }
+// Reset restarts s exactly as NewStepHopMax would.
+func (s *StepHopMax) Reset(value int64, width, hops int) {
+	*s = StepHopMax{m: value, w: width, k: hops}
+}
 
-// NewStepRHopMax is the depth-parametric form of NewStepTwoHopMax: r
-// natural-width flood slices leave every node with the maximum over its
-// closed r-hop neighborhood (done on slice r); at r = 2 it is
-// message-for-message NewStepTwoHopMax. Fixed-width depth-r maxima (the
-// MDS ρ̃ selection over 2r hops) use NewStepHopMax instead.
+// NewStepRHopMax starts a natural-width r-hop maximum: r flood slices leave
+// every node with the maximum over its closed r-hop neighborhood (done on
+// slice r). At r = 2 it is the step form of TwoHopMax, the "maximum ID in
+// its two hop neighborhood" test of Theorem 1's Phase I (which the
+// programs run as a reset StepHopMax with width 0 and 2 hops). Fixed-width
+// depth-r maxima (the MDS ρ̃ selection over 2r hops) use NewStepHopMax
+// instead.
 func NewStepRHopMax(value int64, hops int) *StepHopMax {
 	if hops < 1 {
 		panicCollective(fmt.Sprintf("primitives: NewStepRHopMax with hops %d < 1", hops))
@@ -395,7 +462,7 @@ func NewStepRHopMax(value int64, hops int) *StepHopMax {
 func (s *StepHopMax) Step(nd *congest.Node) bool {
 	if s.r >= 1 {
 		for _, in := range nd.Recv() {
-			if v := in.Msg.(congest.Int).V; v > s.m {
+			if v := in.Msg.Int(); v > s.m {
 				s.m = v
 			}
 		}
@@ -431,16 +498,18 @@ func NewStepMinFlood(own int64, width int) *StepMinFlood {
 	return &StepMinFlood{best: own, width: width}
 }
 
+// Reset restarts s exactly as NewStepMinFlood would.
+func (s *StepMinFlood) Reset(own int64, width int) { *s = StepMinFlood{best: own, width: width} }
+
 // Step advances one round-slice.
 func (s *StepMinFlood) Step(nd *congest.Node) bool {
 	if s.r == 1 {
 		for _, in := range nd.Recv() {
-			m, ok := in.Msg.(congest.Int)
-			if !ok {
+			if in.Msg.Kind() != congest.KindInt {
 				continue
 			}
-			if s.best < 0 || m.V < s.best {
-				s.best = m.V
+			if v := in.Msg.Int(); s.best < 0 || v < s.best {
+				s.best = v
 			}
 		}
 		return true
@@ -456,14 +525,11 @@ func (s *StepMinFlood) Step(nd *congest.Node) bool {
 // done.
 func (s *StepMinFlood) Min() int64 { return s.best }
 
-// RankID is StepRankFlood's message: a (rank, id) pair with explicit widths.
-type RankID struct {
-	Rank, ID       int64
-	WidthR, WidthI int
+// NewRankID builds StepRankFlood's message: a (rank, id) pair with
+// explicit widths (kind congest.KindRankID, rank in field A, id in B).
+func NewRankID(rank, id int64, rankW, idW int) congest.Message {
+	return congest.NewMessage(congest.KindRankID, rank, id, rankW, idW)
 }
-
-// Bits returns the total declared width.
-func (m RankID) Bits() int { return m.WidthR + m.WidthI }
 
 // StepRankFlood is one round of lexicographic (rank, id) minimum aggregation
 // over G-neighbors; rank < 0 means "no value". It also records which
@@ -472,7 +538,7 @@ func (m RankID) Bits() int { return m.WidthR + m.WidthI }
 type StepRankFlood struct {
 	rank, id int64
 	wR, wI   int
-	senders  map[int]bool
+	senders  []int
 	bestFrom int
 	r        int
 }
@@ -482,18 +548,25 @@ func NewStepRankFlood(rank, id int64, rankW, idW int) *StepRankFlood {
 	return &StepRankFlood{rank: rank, id: id, wR: rankW, wI: idW, bestFrom: -1}
 }
 
+// Reset restarts s exactly as NewStepRankFlood would, reusing the senders
+// buffer: a caller that keeps Senders across a Reset keeps a copy.
+func (s *StepRankFlood) Reset(rank, id int64, rankW, idW int) {
+	*s = StepRankFlood{rank: rank, id: id, wR: rankW, wI: idW, senders: s.senders[:0], bestFrom: -1}
+}
+
 // Step advances one round-slice.
 func (s *StepRankFlood) Step(nd *congest.Node) bool {
 	if s.r == 1 {
-		s.senders = make(map[int]bool)
+		if s.senders == nil {
+			s.senders = make([]int, 0, nd.Degree())
+		}
 		for _, in := range nd.Recv() {
-			m, ok := in.Msg.(RankID)
-			if !ok {
+			if in.Msg.Kind() != congest.KindRankID {
 				continue
 			}
-			s.senders[in.From] = true
-			if s.rank < 0 || m.Rank < s.rank || (m.Rank == s.rank && m.ID < s.id) {
-				s.rank, s.id = m.Rank, m.ID
+			s.senders = append(s.senders, in.From)
+			if rank, id := in.Msg.A(), in.Msg.B(); s.rank < 0 || rank < s.rank || (rank == s.rank && id < s.id) {
+				s.rank, s.id = rank, id
 				s.bestFrom = in.From
 			}
 		}
@@ -503,7 +576,7 @@ func (s *StepRankFlood) Step(nd *congest.Node) bool {
 		return true
 	}
 	if s.rank >= 0 {
-		nd.BroadcastNeighbors(RankID{Rank: s.rank, ID: s.id, WidthR: s.wR, WidthI: s.wI})
+		nd.BroadcastNeighbors(NewRankID(s.rank, s.id, s.wR, s.wI))
 	}
 	s.r = 1
 	return false
@@ -513,8 +586,9 @@ func (s *StepRankFlood) Step(nd *congest.Node) bool {
 // was seen. Valid once done.
 func (s *StepRankFlood) Best() (rank, id int64) { return s.rank, s.id }
 
-// Senders reports which neighbors sent a value this flood; valid once done.
-func (s *StepRankFlood) Senders() map[int]bool { return s.senders }
+// Senders returns the neighbors that sent a value this flood, in ascending
+// id order; valid once done and until the next Reset.
+func (s *StepRankFlood) Senders() []int { return s.senders }
 
 // BestFrom returns the neighbor whose message set the final best this flood,
 // or -1 when the flood left the best unchanged. Chained rank floods use it
@@ -523,15 +597,12 @@ func (s *StepRankFlood) Senders() map[int]bool { return s.senders }
 // once done.
 func (s *StepRankFlood) BestFrom() int { return s.bestFrom }
 
-// CandMin is StepCandidateMinFlood's message: a candidate id plus a
-// quantized sample.
-type CandMin struct {
-	Cand, Q        int64
-	WidthC, WidthQ int
+// NewCandMin builds StepCandidateMinFlood's message: a candidate id plus a
+// quantized sample (kind congest.KindCandMin, candidate in field A, sample
+// in B).
+func NewCandMin(cand, q int64, candW, qW int) congest.Message {
+	return congest.NewMessage(congest.KindCandMin, cand, q, candW, qW)
 }
-
-// Bits returns the total declared width.
-func (m CandMin) Bits() int { return m.WidthC + m.WidthQ }
 
 // CandRoute records one adoption event of the chained rank floods: this
 // node first held candidate Cand as its running best after Lvl flood stages,
@@ -568,8 +639,9 @@ type CandRoute struct {
 type StepCandidateMinFlood struct {
 	voteFor   int
 	own       int64
-	candNbrs  map[int]bool
+	candNbrs  []int
 	byLvl     map[int]CandRoute
+	routed    bool
 	candidate bool
 	wC, wQ    int
 	hops      int
@@ -578,32 +650,35 @@ type StepCandidateMinFlood struct {
 	r         int
 }
 
-// NewStepCandidateMinFlood starts one two-hop vote-estimation flood (the
-// paper's G² case): voteFor is the candidate this node contributes to
-// (-1 = none), own its quantized sample (-1 = none), candNbrs the
-// G-neighbors known to be candidates, and candidate whether this node
-// collects a minimum for itself.
-func NewStepCandidateMinFlood(voteFor int, own int64, candNbrs map[int]bool, candidate bool, candW, sampleW int) *StepCandidateMinFlood {
-	return NewStepCandidateMinFloodR(voteFor, own, candNbrs, candidate, candW, sampleW, 2)
+// NewStepCandidateMinFloodR starts one vote-estimation flood of depth hops ∈
+// {1, 2} (the paper's G² case is hops = 2): voteFor is the candidate this
+// node contributes to (-1 = none), own its quantized sample (-1 = none),
+// candNbrs the G-neighbors known to be candidates in ascending id order,
+// and candidate whether this node collects a minimum for itself. At these
+// depths voter broadcasts reach every relevant relay and the schedule needs
+// no routing state. Deeper floods must supply adoption routes via
+// NewStepCandidateMinFloodRoutes — the broadcast schedule cannot carry
+// every candidate's minimum across ≥ 3 hops within the bandwidth budget,
+// and the conservative fallback it used to degrade to is retired.
+func NewStepCandidateMinFloodR(voteFor int, own int64, candNbrs []int, candidate bool, candW, sampleW, hops int) *StepCandidateMinFlood {
+	return new(StepCandidateMinFlood).Reset(voteFor, own, candNbrs, candidate, candW, sampleW, hops)
 }
 
-// NewStepCandidateMinFloodR is the depth-r form of NewStepCandidateMinFlood
-// for hops ∈ {1, 2}, where voter broadcasts reach every relevant relay and
-// the schedule needs no routing state. Deeper floods must supply adoption
-// routes via NewStepCandidateMinFloodRoutes — the broadcast schedule cannot
-// carry every candidate's minimum across ≥ 3 hops within the bandwidth
-// budget, and the conservative fallback it used to degrade to is retired.
-func NewStepCandidateMinFloodR(voteFor int, own int64, candNbrs map[int]bool, candidate bool, candW, sampleW, hops int) *StepCandidateMinFlood {
+// Reset restarts the flood in place on the broadcast schedule, exactly as
+// NewStepCandidateMinFloodR would, reusing its maps. candNbrs is read, not
+// copied, until the flood is done.
+func (s *StepCandidateMinFlood) Reset(voteFor int, own int64, candNbrs []int, candidate bool, candW, sampleW, hops int) *StepCandidateMinFlood {
 	if hops < 1 {
 		panicCollective(fmt.Sprintf("primitives: NewStepCandidateMinFloodR with hops %d < 1", hops))
 	}
 	if hops > 2 {
 		panicCollective(fmt.Sprintf("primitives: NewStepCandidateMinFloodR with hops %d > 2 (use NewStepCandidateMinFloodRoutes)", hops))
 	}
-	return &StepCandidateMinFlood{
-		voteFor: voteFor, own: own, candNbrs: candNbrs, candidate: candidate,
-		wC: candW, wQ: sampleW, hops: hops, best: -1,
+	*s = StepCandidateMinFlood{
+		voteFor: voteFor, own: own, candNbrs: candNbrs, byLvl: s.byLvl, candidate: candidate,
+		wC: candW, wQ: sampleW, hops: hops, perCand: s.perCand, best: -1,
 	}
+	return s
 }
 
 // NewStepCandidateMinFloodRoutes starts the routed exact flood for any
@@ -613,10 +688,20 @@ func NewStepCandidateMinFloodR(voteFor int, own int64, candNbrs map[int]bool, ca
 // voter must hold a route for its own voteFor — it adopted that candidate
 // by definition — so a missing route is a protocol bug, not data.
 func NewStepCandidateMinFloodRoutes(voteFor int, own int64, routes []CandRoute, candidate bool, candW, sampleW, hops int) *StepCandidateMinFlood {
+	return new(StepCandidateMinFlood).ResetRoutes(voteFor, own, routes, candidate, candW, sampleW, hops)
+}
+
+// ResetRoutes restarts the flood in place on the routed schedule, exactly
+// as NewStepCandidateMinFloodRoutes would, reusing its maps.
+func (s *StepCandidateMinFlood) ResetRoutes(voteFor int, own int64, routes []CandRoute, candidate bool, candW, sampleW, hops int) *StepCandidateMinFlood {
 	if hops < 1 {
 		panicCollective(fmt.Sprintf("primitives: NewStepCandidateMinFloodRoutes with hops %d < 1", hops))
 	}
-	byLvl := make(map[int]CandRoute, len(routes))
+	byLvl := s.byLvl
+	if byLvl == nil {
+		byLvl = make(map[int]CandRoute, hops+1)
+	}
+	clear(byLvl)
 	voteRouted := voteFor < 0 || own < 0
 	for _, rt := range routes {
 		if rt.Lvl < 0 || rt.Lvl > hops {
@@ -636,32 +721,39 @@ func NewStepCandidateMinFloodRoutes(voteFor int, own int64, routes []CandRoute, 
 	if !voteRouted {
 		panicCollective(fmt.Sprintf("primitives: voter for candidate %d has no adoption route to it", voteFor))
 	}
-	return &StepCandidateMinFlood{
-		voteFor: voteFor, own: own, byLvl: byLvl, candidate: candidate,
-		wC: candW, wQ: sampleW, hops: hops, best: -1,
+	*s = StepCandidateMinFlood{
+		voteFor: voteFor, own: own, byLvl: byLvl, routed: true, candidate: candidate,
+		wC: candW, wQ: sampleW, hops: hops, perCand: s.perCand, best: -1,
 	}
+	return s
 }
 
 // Step advances one round-slice.
 func (s *StepCandidateMinFlood) Step(nd *congest.Node) bool {
-	if s.byLvl != nil {
+	if s.r == 0 {
+		// The minima of one flood: the own sample plus at most one sample
+		// per neighbor, so a map sized to the degree never grows.
+		if s.perCand == nil {
+			s.perCand = make(map[int64]int64, nd.Degree()+1)
+		}
+		clear(s.perCand)
+		if s.own >= 0 {
+			s.perCand[int64(s.voteFor)] = s.own
+		}
+	}
+	if s.routed {
 		return s.stepRouted(nd)
 	}
 	switch {
 	case s.r == 0:
-		s.perCand = map[int64]int64{}
 		if s.own >= 0 {
-			s.perCand[int64(s.voteFor)] = s.own
-			nd.BroadcastNeighbors(CandMin{Cand: int64(s.voteFor), Q: s.own, WidthC: s.wC, WidthQ: s.wQ})
+			nd.BroadcastNeighbors(NewCandMin(int64(s.voteFor), s.own, s.wC, s.wQ))
 		}
 	case s.r < s.hops:
 		s.mergeRecv(nd)
-		for _, u := range nd.Neighbors() {
-			if !s.candNbrs[u] {
-				continue
-			}
+		for _, u := range s.candNbrs {
 			if q, ok := s.perCand[int64(u)]; ok {
-				nd.MustSend(u, CandMin{Cand: int64(u), Q: q, WidthC: s.wC, WidthQ: s.wQ})
+				nd.MustSend(u, NewCandMin(int64(u), q, s.wC, s.wQ))
 			}
 		}
 	default:
@@ -670,12 +762,11 @@ func (s *StepCandidateMinFlood) Step(nd *congest.Node) bool {
 				s.best = q
 			}
 			for _, in := range nd.Recv() {
-				m, ok := in.Msg.(CandMin)
-				if !ok || m.Cand != int64(nd.ID()) {
+				if in.Msg.Kind() != congest.KindCandMin || in.Msg.A() != int64(nd.ID()) {
 					continue
 				}
-				if s.best < 0 || m.Q < s.best {
-					s.best = m.Q
+				if q := in.Msg.B(); s.best < 0 || q < s.best {
+					s.best = q
 				}
 			}
 		}
@@ -690,12 +781,7 @@ func (s *StepCandidateMinFlood) Step(nd *congest.Node) bool {
 // parent; the closing slice folds the last deliveries and lets candidates
 // read their own minimum.
 func (s *StepCandidateMinFlood) stepRouted(nd *congest.Node) bool {
-	if s.r == 0 {
-		s.perCand = map[int64]int64{}
-		if s.own >= 0 {
-			s.perCand[int64(s.voteFor)] = s.own
-		}
-	} else {
+	if s.r > 0 {
 		s.mergeRecv(nd)
 	}
 	if s.r == s.hops {
@@ -708,7 +794,7 @@ func (s *StepCandidateMinFlood) stepRouted(nd *congest.Node) bool {
 	}
 	if rt, ok := s.byLvl[s.hops-s.r]; ok && rt.From >= 0 {
 		if q, have := s.perCand[int64(rt.Cand)]; have {
-			nd.MustSend(rt.From, CandMin{Cand: int64(rt.Cand), Q: q, WidthC: s.wC, WidthQ: s.wQ})
+			nd.MustSend(rt.From, NewCandMin(int64(rt.Cand), q, s.wC, s.wQ))
 		}
 	}
 	s.r++
@@ -718,12 +804,12 @@ func (s *StepCandidateMinFlood) stepRouted(nd *congest.Node) bool {
 // mergeRecv folds this slice's deliveries into the per-candidate minima.
 func (s *StepCandidateMinFlood) mergeRecv(nd *congest.Node) {
 	for _, in := range nd.Recv() {
-		m, ok := in.Msg.(CandMin)
-		if !ok {
+		if in.Msg.Kind() != congest.KindCandMin {
 			continue
 		}
-		if cur, seen := s.perCand[m.Cand]; !seen || m.Q < cur {
-			s.perCand[m.Cand] = m.Q
+		c, q := in.Msg.A(), in.Msg.B()
+		if cur, seen := s.perCand[c]; !seen || q < cur {
+			s.perCand[c] = q
 		}
 	}
 }
@@ -750,7 +836,7 @@ func NewStepStatusExchange(status bool) *StepStatusExchange {
 func (s *StepStatusExchange) Step(nd *congest.Node) bool {
 	if s.r == 1 {
 		for _, in := range nd.Recv() {
-			if in.Msg.(congest.Int).V == 1 {
+			if in.Msg.Int() == 1 {
 				s.on = append(s.on, in.From)
 			}
 		}
@@ -795,7 +881,7 @@ func (s *StepNearFlood) Step(nd *congest.Node) bool {
 		return true
 	}
 	if s.near {
-		nd.BroadcastNeighbors(congest.Flag{})
+		nd.BroadcastNeighbors(congest.Flag())
 	}
 	s.r++
 	return false
@@ -870,7 +956,7 @@ func (s *StepVotingPhase) Step(nd *congest.Node) bool {
 	case 1: // count live neighbors; clique: start the global OR
 		s.dR = 0
 		for _, in := range nd.Recv() {
-			if in.Msg.(congest.Int).V == 1 {
+			if in.Msg.Int() == 1 {
 				s.dR++
 			}
 		}
@@ -885,7 +971,7 @@ func (s *StepVotingPhase) Step(nd *congest.Node) bool {
 	case 2: // clique only: read the OR; terminate, or announce ranks
 		any := s.candidate
 		for _, in := range nd.Recv() {
-			if in.Msg.(congest.Int).V == 1 {
+			if in.Msg.Int() == 1 {
 				any = true
 			}
 		}
@@ -901,14 +987,13 @@ func (s *StepVotingPhase) Step(nd *congest.Node) bool {
 		var bestRank int64 = -1
 		if s.inR {
 			for _, in := range nd.Recv() {
-				m, ok := in.Msg.(congest.Int)
-				if !ok {
+				if in.Msg.Kind() != congest.KindInt {
 					continue
 				}
 				// Highest rank wins; ties break toward the higher id
 				// (deterministic, consistent at every voter).
-				if m.V > bestRank || (m.V == bestRank && in.From > s.voteFor) {
-					bestRank = m.V
+				if v := in.Msg.Int(); v > bestRank || (v == bestRank && in.From > s.voteFor) {
+					bestRank = v
 					s.voteFor = in.From
 				}
 			}
@@ -920,12 +1005,12 @@ func (s *StepVotingPhase) Step(nd *congest.Node) bool {
 	default: // count votes; successful candidates retire their neighborhoods
 		votes := 0
 		for _, in := range nd.Recv() {
-			if m, ok := in.Msg.(congest.Int); ok && int(m.V) == nd.ID() {
+			if in.Msg.Kind() == congest.KindInt && int(in.Msg.Int()) == nd.ID() {
 				votes++
 			}
 		}
 		if s.candidate && votes*8 >= s.dR {
-			nd.BroadcastNeighbors(congest.Flag{})
+			nd.BroadcastNeighbors(congest.Flag())
 			s.succeeded = true
 		}
 		nd.SpanEnd("phase1-iter", s.it)
@@ -959,10 +1044,14 @@ func (s *StepVotingPhase) InS() bool { return s.inS }
 
 // PayeeSelector chooses, from this node's neighbor weights and live
 // statuses, the neighbors a selected center would pay into the cover this
-// iteration (the ripe weight classes of Theorem 7). An empty result means
-// the node is not a candidate. The selector must be a pure function of its
-// arguments — it is consulted once per iteration at every node.
-type PayeeSelector func(nd *congest.Node, nbrWeight map[int]int64, inRNbr map[int]bool) []int
+// iteration (the ripe weight classes of Theorem 7). nbrWeight[i] and
+// inRNbr[i] describe the i-th entry of nd.Neighbors(). The selector appends
+// the chosen neighbor ids to payees (passed with length zero, its buffer
+// reused from iteration to iteration) and returns the result; an empty
+// result means the node is not a candidate. The selector must be a pure
+// function of its arguments — it is consulted once per iteration at every
+// node, concurrently on a sharded run.
+type PayeeSelector func(nd *congest.Node, nbrWeight []int64, inRNbr []bool, payees []int) []int
 
 // StepWeightedLocalRatio is the step form of Theorem 7's Phase I, the
 // weighted local-ratio payment loop: after one round learning neighbor
@@ -979,10 +1068,10 @@ type StepWeightedLocalRatio struct {
 
 	sub, it   int
 	inR, inS  bool
-	nbrWeight map[int]int64
-	inRNbr    map[int]bool
+	nbrWeight []int64 // by position in nd.Neighbors()
+	inRNbr    []bool  // by position in nd.Neighbors()
 	ripe      []int
-	hop       *StepHopMax
+	hop       StepHopMax
 	uNbrs     []int
 }
 
@@ -1005,6 +1094,11 @@ func NewStepWeightedLocalRatio(nd *congest.Node, iterations, wBits int, selector
 	}
 }
 
+// Reset restarts s exactly as NewStepWeightedLocalRatio would.
+func (s *StepWeightedLocalRatio) Reset(nd *congest.Node, iterations, wBits int, selector PayeeSelector) {
+	*s = *NewStepWeightedLocalRatio(nd, iterations, wBits, selector)
+}
+
 // Step advances one round-slice.
 func (s *StepWeightedLocalRatio) Step(nd *congest.Node) bool {
 	switch s.sub {
@@ -1018,13 +1112,14 @@ func (s *StepWeightedLocalRatio) Step(nd *congest.Node) bool {
 		s.it = -1
 	case wlrJoin:
 		if s.it < 0 {
-			s.nbrWeight = make(map[int]int64, nd.Degree())
+			nbrs := nd.Neighbors()
+			s.nbrWeight = make([]int64, len(nbrs))
+			s.inRNbr = make([]bool, len(nbrs))
 			for _, in := range nd.Recv() {
-				s.nbrWeight[in.From] = in.Msg.(congest.Int).V
+				s.nbrWeight[nbrIndex(nbrs, in.From)] = in.Msg.Int()
 			}
-			s.inRNbr = make(map[int]bool, nd.Degree())
-			for _, u := range nd.Neighbors() {
-				s.inRNbr[u] = s.nbrWeight[u] > 0
+			for i, w := range s.nbrWeight {
+				s.inRNbr[i] = w > 0
 			}
 		} else if len(nd.Recv()) > 0 {
 			s.inS, s.inR = true, false
@@ -1041,15 +1136,16 @@ func (s *StepWeightedLocalRatio) Step(nd *congest.Node) bool {
 			s.sub = wlrStatus
 		}
 	case wlrStatus:
+		nbrs := nd.Neighbors()
 		for _, in := range nd.Recv() {
-			s.inRNbr[in.From] = in.Msg.(congest.Int).V == 1
+			s.inRNbr[nbrIndex(nbrs, in.From)] = in.Msg.Int() == 1
 		}
-		s.ripe = s.selector(nd, s.nbrWeight, s.inRNbr)
+		s.ripe = s.selector(nd, s.nbrWeight, s.inRNbr, s.ripe[:0])
 		val := int64(0)
 		if len(s.ripe) > 0 {
 			val = int64(nd.ID()) + 1
 		}
-		s.hop = NewStepTwoHopMax(val)
+		s.hop.Reset(val, 0, 2)
 		s.hop.Step(nd)
 		s.sub = wlrHop
 	case wlrHop:
@@ -1058,13 +1154,13 @@ func (s *StepWeightedLocalRatio) Step(nd *congest.Node) bool {
 		}
 		if len(s.ripe) > 0 && s.hop.Max() == int64(nd.ID())+1 {
 			for _, u := range s.ripe {
-				nd.MustSend(u, congest.Flag{})
+				nd.MustSend(u, congest.Flag())
 			}
 		}
 		s.sub = wlrJoin
 	default: // wlrFinal
 		for _, in := range nd.Recv() {
-			if in.Msg.(congest.Int).V == 1 {
+			if in.Msg.Int() == 1 {
 				s.uNbrs = append(s.uNbrs, in.From)
 			}
 		}
@@ -1085,9 +1181,14 @@ func (s *StepWeightedLocalRatio) InS() bool { return s.inS }
 // endpoints of Lemma 8), in id order; valid once done.
 func (s *StepWeightedLocalRatio) UNbrs() []int { return s.uNbrs }
 
-// NbrWeight returns the learned neighbor weights; valid once the first two
-// slices completed (it is what the PayeeSelector receives).
-func (s *StepWeightedLocalRatio) NbrWeight() map[int]int64 { return s.nbrWeight }
+// nbrIndex returns the position of neighbor u in the sorted adjacency nbrs.
+func nbrIndex(nbrs []int, u int) int {
+	i, ok := slices.BinarySearch(nbrs, u)
+	if !ok {
+		panicCollective(fmt.Sprintf("primitives: %d is not a neighbor", u))
+	}
+	return i
+}
 
 // StepLeaderPipeline chains the CONGEST Phase II of Theorem 1 and its
 // variants: elect the minimum-id leader, build its BFS tree, pipeline every
@@ -1100,11 +1201,11 @@ type StepLeaderPipeline struct {
 
 	sub      int
 	started  bool
-	leader   *StepMinIDLeader
-	bfs      *StepBFSTree
+	leader   StepMinIDLeader
+	bfs      StepBFSTree
 	tree     Tree
-	gather   *StepGatherAtRoot
-	flood    *StepFloodItemsFromRoot
+	gather   StepGatherAtRoot
+	flood    StepFloodItemsFromRoot
 	leaderID int
 }
 
@@ -1112,7 +1213,13 @@ type StepLeaderPipeline struct {
 // contributions to the leader gather; solve runs once at the leader over
 // everything gathered and returns the items to flood back.
 func NewStepLeaderPipeline(nd *congest.Node, items []congest.Message, solve func(gathered []congest.Message) []congest.Message) *StepLeaderPipeline {
-	return &StepLeaderPipeline{items: items, solve: solve, leader: NewStepMinIDLeader(nd)}
+	return &StepLeaderPipeline{items: items, solve: solve, leader: *NewStepMinIDLeader(nd)}
+}
+
+// Reset restarts s exactly as NewStepLeaderPipeline would.
+func (s *StepLeaderPipeline) Reset(nd *congest.Node, items []congest.Message, solve func(gathered []congest.Message) []congest.Message) {
+	*s = StepLeaderPipeline{items: items, solve: solve}
+	s.leader.Reset(nd)
 }
 
 // Step advances one round-slice.
@@ -1129,7 +1236,7 @@ func (s *StepLeaderPipeline) Step(nd *congest.Node) bool {
 			}
 			nd.SpanEnd("leader-elect", 0)
 			s.leaderID = s.leader.Leader()
-			s.bfs = NewStepBFSTree(nd, s.leaderID)
+			s.bfs.Reset(nd, s.leaderID)
 			nd.SpanBegin("bfs-tree", 0)
 			s.sub = 1
 		case 1:
@@ -1138,7 +1245,7 @@ func (s *StepLeaderPipeline) Step(nd *congest.Node) bool {
 			}
 			nd.SpanEnd("bfs-tree", 0)
 			s.tree = s.bfs.Tree()
-			s.gather = NewStepGatherAtRoot(nd, &s.tree, s.items)
+			s.gather.Reset(nd, &s.tree, s.items)
 			nd.SpanBegin("phase2-gather", 0)
 			s.sub = 2
 		case 2:
@@ -1152,7 +1259,7 @@ func (s *StepLeaderPipeline) Step(nd *congest.Node) bool {
 				down = s.solve(s.gather.Collected())
 				nd.SpanEnd("leader-solve", 0)
 			}
-			s.flood = NewStepFloodItemsFromRoot(nd, &s.tree, down)
+			s.flood.Reset(nd, &s.tree, down)
 			nd.SpanBegin("phase2-flood", 0)
 			s.sub = 3
 		default:
@@ -1193,7 +1300,7 @@ func (s *StepCliqueLeader) Step(nd *congest.Node) bool {
 		}
 		return true
 	}
-	nd.Broadcast(congest.Flag{})
+	nd.Broadcast(congest.Flag())
 	s.r = 1
 	return false
 }

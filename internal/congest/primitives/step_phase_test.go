@@ -24,7 +24,7 @@ type cliqueOut struct {
 func blockingCliqueChain(nd *congest.Node) (cliqueOut, error) {
 	out := cliqueOut{Hop2: TwoHopMax(nd, int64(nd.ID()*7%13))}
 
-	nd.Broadcast(congest.Flag{})
+	nd.Broadcast(congest.Flag())
 	nd.NextRound()
 	leader := nd.ID()
 	for _, in := range nd.Recv() {
@@ -43,7 +43,7 @@ func blockingCliqueChain(nd *congest.Node) (cliqueOut, error) {
 	nd.NextRound()
 	var on []int
 	for _, in := range nd.Recv() {
-		if in.Msg.(congest.Int).V == 1 {
+		if in.Msg.Int() == 1 {
 			on = append(on, in.From)
 		}
 	}
@@ -88,7 +88,7 @@ func (p *stepCliqueChain) Step(nd *congest.Node) (bool, error) {
 		switch p.stage {
 		case 0:
 			if p.hop == nil {
-				p.hop = NewStepTwoHopMax(int64(nd.ID() * 7 % 13))
+				p.hop = NewStepRHopMax(int64(nd.ID()*7%13), 2)
 			}
 			if !p.hop.Step(nd) {
 				return false, nil

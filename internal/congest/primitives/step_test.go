@@ -32,7 +32,7 @@ func blockingPipeline(nd *congest.Node) (pipelineOut, error) {
 	if nd.ID() == leader {
 		sum := int64(0)
 		for _, m := range gathered {
-			sum += m.(congest.Int).V
+			sum += m.Int()
 		}
 		down = []congest.Message{congest.NewInt(sum), congest.NewIntWidth(int64(len(gathered)), w)}
 	}
@@ -90,7 +90,7 @@ func (p *stepPipeline) Step(nd *congest.Node) (bool, error) {
 			if nd.ID() == p.out.Leader {
 				sum := int64(0)
 				for _, m := range gathered {
-					sum += m.(congest.Int).V
+					sum += m.Int()
 				}
 				down = []congest.Message{congest.NewInt(sum), congest.NewIntWidth(int64(len(gathered)), w)}
 			}

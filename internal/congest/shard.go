@@ -71,7 +71,7 @@ func (e *engine) runBatchSharded(steppers []stepper) error {
 		sh.lo, sh.hi = k*n/e.shards, (k+1)*n/e.shards
 		sh.live = sh.hi - sh.lo
 		for i := sh.lo; i < sh.hi; i++ {
-			e.nodes[i].sh = sh
+			e.nodeSlab[i].sh = sh
 		}
 		starts[k] = make(chan struct{}, 1)
 		go func(start <-chan struct{}, sh *shardState) {
@@ -79,15 +79,7 @@ func (e *engine) runBatchSharded(steppers []stepper) error {
 			// always stepped by the same goroutine (coroutine-adapted
 			// handlers rely on their resumes being serialized).
 			for range start {
-				for i := sh.lo; i < sh.hi; i++ {
-					if !alive[i] {
-						continue
-					}
-					if steppers[i].step() == stepDone {
-						alive[i] = false
-						sh.live--
-					}
-				}
+				sh.live -= e.sweep(steppers, alive, sh.lo, sh.hi)
 				wg.Done()
 			}
 		}(starts[k], sh)

@@ -30,7 +30,7 @@ func (p *probeProg) Step(nd *Node) (bool, error) {
 		nd.SpanBegin("probe", 0)
 	}
 	for _, in := range nd.Recv() {
-		p.sum += in.Msg.(Int).V
+		p.sum += in.Msg.Int()
 	}
 	if r >= p.rounds {
 		nd.SpanEnd("probe", 0)
@@ -128,7 +128,7 @@ func TestShardedBlockingHandlerMatchesSequential(t *testing.T) {
 			nd.BroadcastNeighbors(NewIntWidth(nd.Rand().Int63n(1<<10), 11))
 			nd.NextRound()
 			for _, in := range nd.Recv() {
-				sum += in.Msg.(Int).V
+				sum += in.Msg.Int()
 			}
 		}
 		return sum, nil

@@ -78,7 +78,8 @@ func ApproxMDSCongest(g *graph.Graph, opts *MDSOptions) (*Result, error) {
 		Tracer:          opts.Options.Tracer,
 	}
 	res, err := congest.RunProgram(cfg, func(nd *congest.Node) congest.StepProgram[nodeOut] {
-		prog := &mdsCongestProgram{mdsParams: *p}
+		// Every phase records at most rpow+1 adoption routes.
+		prog := &mdsCongestProgram{mdsParams: *p, routes: make([]primitives.CandRoute, 0, p.rpow+1)}
 		prog.startPhase(nd)
 		return prog
 	})
@@ -183,7 +184,9 @@ const (
 // greedy-cover primitives — coverage estimation, candidate selection by
 // 4-hop maximum, rank voting, vote estimation, and the coverage flood —
 // with every stage starting in the slice its predecessor finishes, exactly
-// like the blocking composition.
+// like the blocking composition. The stages are held by value and Reset for
+// every flood, so once the first phase has sized the buffers a phase
+// allocates nothing.
 type mdsCongestProgram struct {
 	mdsParams
 
@@ -192,7 +195,7 @@ type mdsCongestProgram struct {
 	phase, sub, j int
 
 	// Step 1 (coverage estimation) state.
-	flood      *primitives.StepMinFlood
+	flood      primitives.StepMinFlood
 	floodStage int
 	minima     []float64
 	sawAny     bool
@@ -200,21 +203,24 @@ type mdsCongestProgram struct {
 	rho        int64
 
 	// Step 2 (candidate selection) state.
-	hop *primitives.StepHopMax
+	hop primitives.StepHopMax
 
 	// Step 3 (rank voting) state. routes records each adoption of a new
 	// running-best candidate (level = stages completed, parent = delivering
 	// neighbor) — the in-tree step 4's exact depth-r schedule routes along.
-	rank       *primitives.StepRankFlood
+	// candNbrs copies the first flood's senders: the later rank floods of
+	// the phase reuse (and overwrite) the flood's own senders buffer while
+	// all r vote floods still read the neighboring candidates.
+	rank       primitives.StepRankFlood
 	rankStage  int
-	candNbrs   map[int]bool
+	candNbrs   []int
 	candidate  bool
 	voteFor    int
 	routes     []primitives.CandRoute
 	prevBestID int
 
 	// Step 4 (vote estimation) state.
-	votes      *primitives.StepCandidateMinFlood
+	votes      primitives.StepCandidateMinFlood
 	voteMinima []float64
 	gotVotes   bool
 
@@ -232,7 +238,7 @@ func (p *mdsCongestProgram) startPhase(nd *congest.Node) {
 	p.sawAny = true
 	p.j = 0
 	p.floodStage = 0
-	p.flood = primitives.NewStepMinFlood(p.coverageSample(nd), p.qWidth)
+	p.flood.Reset(p.coverageSample(nd), p.qWidth)
 	p.sub = mdsEstimate
 }
 
@@ -264,7 +270,7 @@ func (p *mdsCongestProgram) Step(nd *congest.Node) (bool, error) {
 			if p.floodStage < p.rpow-1 {
 				// Next hop of the rpow-round min-flood (one chained
 				// single-hop flood per hop of Gʳ).
-				p.flood = primitives.NewStepMinFlood(p.flood.Min(), p.qWidth)
+				p.flood.Reset(p.flood.Min(), p.qWidth)
 				p.floodStage++
 				continue
 			}
@@ -276,7 +282,7 @@ func (p *mdsCongestProgram) Step(nd *congest.Node) (bool, error) {
 			p.j++
 			if p.j < p.r {
 				p.floodStage = 0
-				p.flood = primitives.NewStepMinFlood(p.coverageSample(nd), p.qWidth)
+				p.flood.Reset(p.coverageSample(nd), p.qWidth)
 				continue
 			}
 			p.dTilde = 0
@@ -289,7 +295,7 @@ func (p *mdsCongestProgram) Step(nd *congest.Node) (bool, error) {
 				p.rho = estimate.RoundUpPow2(p.dTilde)
 			}
 			nd.SpanEnd("mds-estimate", p.phase)
-			p.hop = primitives.NewStepHopMax(p.rho, p.idw+2, 2*p.rpow)
+			p.hop.Reset(p.rho, p.idw+2, 2*p.rpow)
 			p.sub = mdsHop
 		case mdsHop:
 			if !p.hop.Step(nd) {
@@ -300,7 +306,7 @@ func (p *mdsCongestProgram) Step(nd *congest.Node) (bool, error) {
 			if p.candidate {
 				myRank = nd.Rand().Int63n(p.rankMax)
 			}
-			p.rank = primitives.NewStepRankFlood(myRank, int64(nd.ID()), p.rankW, p.idw)
+			p.rank.Reset(myRank, int64(nd.ID()), p.rankW, p.idw)
 			p.rankStage = 0
 			p.routes = p.routes[:0]
 			p.prevBestID = -1
@@ -316,7 +322,10 @@ func (p *mdsCongestProgram) Step(nd *congest.Node) (bool, error) {
 			if p.rankStage == 0 {
 				// Direct senders in the first flood are the neighboring
 				// candidates (used to route step 4's forwarded minima).
-				p.candNbrs = p.rank.Senders()
+				if p.candNbrs == nil {
+					p.candNbrs = make([]int, 0, nd.Degree())
+				}
+				p.candNbrs = append(p.candNbrs[:0], p.rank.Senders()...)
 			}
 			if _, id := p.rank.Best(); id >= 0 && int(id) != p.prevBestID {
 				// Adopted a new running best: record the delivering neighbor
@@ -327,7 +336,7 @@ func (p *mdsCongestProgram) Step(nd *congest.Node) (bool, error) {
 			}
 			if p.rankStage < p.rpow-1 {
 				r1, id1 := p.rank.Best()
-				p.rank = primitives.NewStepRankFlood(r1, id1, p.rankW, p.idw)
+				p.rank.Reset(r1, id1, p.rankW, p.idw)
 				p.rankStage++
 				continue
 			}
@@ -339,7 +348,7 @@ func (p *mdsCongestProgram) Step(nd *congest.Node) (bool, error) {
 			p.voteMinima = p.voteMinima[:0]
 			p.gotVotes = true
 			p.j = 0
-			p.votes = p.newVoteFlood(nd)
+			p.resetVoteFlood(nd)
 			nd.SpanBegin("mds-votes", p.phase)
 			p.sub = mdsVotes
 		case mdsVotes:
@@ -353,7 +362,7 @@ func (p *mdsCongestProgram) Step(nd *congest.Node) (bool, error) {
 			}
 			p.j++
 			if p.j < p.r {
-				p.votes = p.newVoteFlood(nd)
+				p.resetVoteFlood(nd)
 				continue
 			}
 			// Step 5: join on votes ≥ C̃_v/8.
@@ -371,7 +380,7 @@ func (p *mdsCongestProgram) Step(nd *congest.Node) (bool, error) {
 			}
 			// Step 6: rpow-round coverage flood from new members.
 			if p.joined {
-				nd.BroadcastNeighbors(congest.Flag{})
+				nd.BroadcastNeighbors(congest.Flag())
 			}
 			nd.SpanEnd("mds-votes", p.phase)
 			p.covRound = 0
@@ -384,7 +393,7 @@ func (p *mdsCongestProgram) Step(nd *congest.Node) (bool, error) {
 					p.covered = true
 				}
 				if relay {
-					nd.BroadcastNeighbors(congest.Flag{})
+					nd.BroadcastNeighbors(congest.Flag())
 				}
 				p.covRound++
 				return false, nil
@@ -408,16 +417,15 @@ func (p *mdsCongestProgram) Step(nd *congest.Node) (bool, error) {
 	}
 }
 
-// newVoteFlood starts one step-4 vote-estimation flood: the paper's exact
+// resetVoteFlood starts one step-4 vote-estimation flood: the paper's exact
 // broadcast trick at rpow ≤ 2 (byte-identical to the r = 2 schedule), the
 // routed exact schedule along the captured adoption trees at rpow ≥ 3.
-func (p *mdsCongestProgram) newVoteFlood(nd *congest.Node) *primitives.StepCandidateMinFlood {
+func (p *mdsCongestProgram) resetVoteFlood(nd *congest.Node) {
 	if p.rpow <= 2 {
-		return primitives.NewStepCandidateMinFloodR(
-			p.voteFor, p.voteSample(nd), p.candNbrs, p.candidate, p.idw, p.qWidth, p.rpow)
+		p.votes.Reset(p.voteFor, p.voteSample(nd), p.candNbrs, p.candidate, p.idw, p.qWidth, p.rpow)
+		return
 	}
-	return primitives.NewStepCandidateMinFloodRoutes(
-		p.voteFor, p.voteSample(nd), p.routes, p.candidate, p.idw, p.qWidth, p.rpow)
+	p.votes.ResetRoutes(p.voteFor, p.voteSample(nd), p.routes, p.candidate, p.idw, p.qWidth, p.rpow)
 }
 
 func (p *mdsCongestProgram) Output() nodeOut {

@@ -9,37 +9,10 @@ import (
 	"powergraph/internal/graph"
 )
 
-// The message types of the blocking Theorem 28 reference. The step program
-// sends congest.Int / primitives.RankID / primitives.CandMin values of
-// identical widths, so the two are bit-for-bit indistinguishable.
-
-// quantMsg carries one quantized exponential sample (step-1 minima floods).
-type quantMsg struct {
-	Q     int64
-	Width int
-}
-
-func (m quantMsg) Bits() int { return m.Width }
-
-// candValMsg carries a per-candidate quantized minimum (step-4 vote
-// estimation): the candidate id plus the sample.
-type candValMsg struct {
-	Cand   int64
-	Q      int64
-	WidthC int
-	WidthQ int
-}
-
-func (m candValMsg) Bits() int { return m.WidthC + m.WidthQ }
-
-// rankIDMsg floods the lexicographically minimal (rank, id) candidate
-// within two hops (step-3 voting).
-type rankIDMsg struct {
-	Rank, ID       int64
-	WidthR, WidthI int
-}
-
-func (m rankIDMsg) Bits() int { return m.WidthR + m.WidthI }
+// The blocking Theorem 28 reference sends the same flat congest.Message
+// kinds and widths as the step program — KindInt samples, KindRankID
+// (rank, id) pairs and KindCandMin (candidate, sample) pairs — so the two
+// are bit-for-bit indistinguishable.
 
 // blockingMDSCongest is the original blocking handler implementation
 // of Theorem 28, kept verbatim as a reference for
@@ -103,7 +76,7 @@ func blockingMDSCongest(g *graph.Graph, opts *MDSOptions) (*Result, error) {
 				nd.BroadcastNeighbors(congest.NewIntWidth(maxRho, idw+2))
 				nd.NextRound()
 				for _, in := range nd.Recv() {
-					if v := in.Msg.(congest.Int).V; v > maxRho {
+					if v := in.Msg.Int(); v > maxRho {
 						maxRho = v
 					}
 				}
@@ -135,7 +108,7 @@ func blockingMDSCongest(g *graph.Graph, opts *MDSOptions) (*Result, error) {
 				}
 				// Round A: voters broadcast (candidate, sample).
 				if own >= 0 {
-					nd.BroadcastNeighbors(candValMsg{Cand: int64(voteFor), Q: own, WidthC: idw, WidthQ: qWidth})
+					nd.BroadcastNeighbors(congest.NewMessage(congest.KindCandMin, int64(voteFor), own, idw, qWidth))
 				}
 				nd.NextRound()
 				perCand := map[int64]int64{}
@@ -143,12 +116,12 @@ func blockingMDSCongest(g *graph.Graph, opts *MDSOptions) (*Result, error) {
 					perCand[int64(voteFor)] = own
 				}
 				for _, in := range nd.Recv() {
-					m, ok := in.Msg.(candValMsg)
-					if !ok {
+					if in.Msg.Kind() != congest.KindCandMin {
 						continue
 					}
-					if cur, seen := perCand[m.Cand]; !seen || m.Q < cur {
-						perCand[m.Cand] = m.Q
+					c, q := in.Msg.A(), in.Msg.B()
+					if cur, seen := perCand[c]; !seen || q < cur {
+						perCand[c] = q
 					}
 				}
 				// Round B: forward each neighboring candidate its minimum.
@@ -157,7 +130,7 @@ func blockingMDSCongest(g *graph.Graph, opts *MDSOptions) (*Result, error) {
 						continue
 					}
 					if q, ok := perCand[int64(u)]; ok {
-						nd.MustSend(u, candValMsg{Cand: int64(u), Q: q, WidthC: idw, WidthQ: qWidth})
+						nd.MustSend(u, congest.NewMessage(congest.KindCandMin, int64(u), q, idw, qWidth))
 					}
 				}
 				nd.NextRound()
@@ -167,12 +140,11 @@ func blockingMDSCongest(g *graph.Graph, opts *MDSOptions) (*Result, error) {
 						best = q
 					}
 					for _, in := range nd.Recv() {
-						m, ok := in.Msg.(candValMsg)
-						if !ok || m.Cand != int64(nd.ID()) {
+						if in.Msg.Kind() != congest.KindCandMin || in.Msg.A() != int64(nd.ID()) {
 							continue
 						}
-						if best < 0 || m.Q < best {
-							best = m.Q
+						if q := in.Msg.B(); best < 0 || q < best {
+							best = q
 						}
 					}
 				}
@@ -199,7 +171,7 @@ func blockingMDSCongest(g *graph.Graph, opts *MDSOptions) (*Result, error) {
 
 			// Step 6: two-round coverage flood from new members.
 			if joined {
-				nd.BroadcastNeighbors(congest.Flag{})
+				nd.BroadcastNeighbors(congest.Flag())
 			}
 			nd.NextRound()
 			relay := joined || len(nd.Recv()) > 0
@@ -207,7 +179,7 @@ func blockingMDSCongest(g *graph.Graph, opts *MDSOptions) (*Result, error) {
 				covered = true
 			}
 			if relay {
-				nd.BroadcastNeighbors(congest.Flag{})
+				nd.BroadcastNeighbors(congest.Flag())
 			}
 			nd.NextRound()
 			if len(nd.Recv()) > 0 {
@@ -237,17 +209,16 @@ func blockingMDSCongest(g *graph.Graph, opts *MDSOptions) (*Result, error) {
 // and everything received (-1 if nothing was seen).
 func minFlood(nd *congest.Node, own int64, width int) int64 {
 	if own >= 0 {
-		nd.BroadcastNeighbors(quantMsg{Q: own, Width: width})
+		nd.BroadcastNeighbors(congest.NewIntWidth(own, width))
 	}
 	nd.NextRound()
 	best := own
 	for _, in := range nd.Recv() {
-		m, ok := in.Msg.(quantMsg)
-		if !ok {
+		if in.Msg.Kind() != congest.KindInt {
 			continue
 		}
-		if best < 0 || m.Q < best {
-			best = m.Q
+		if q := in.Msg.Int(); best < 0 || q < best {
+			best = q
 		}
 	}
 	return best
@@ -259,19 +230,18 @@ func minFlood(nd *congest.Node, own int64, width int) int64 {
 // first hop of the flood).
 func rankFlood(nd *congest.Node, rank, id int64, rankW, idW int) (int64, int64, map[int]bool) {
 	if rank >= 0 {
-		nd.BroadcastNeighbors(rankIDMsg{Rank: rank, ID: id, WidthR: rankW, WidthI: idW})
+		nd.BroadcastNeighbors(congest.NewMessage(congest.KindRankID, rank, id, rankW, idW))
 	}
 	nd.NextRound()
 	bestR, bestID := rank, id
 	senders := make(map[int]bool)
 	for _, in := range nd.Recv() {
-		m, ok := in.Msg.(rankIDMsg)
-		if !ok {
+		if in.Msg.Kind() != congest.KindRankID {
 			continue
 		}
 		senders[in.From] = true
-		if bestR < 0 || m.Rank < bestR || (m.Rank == bestR && m.ID < bestID) {
-			bestR, bestID = m.Rank, m.ID
+		if r, i := in.Msg.A(), in.Msg.B(); bestR < 0 || r < bestR || (r == bestR && i < bestID) {
+			bestR, bestID = r, i
 		}
 	}
 	if bestR < 0 {

@@ -86,7 +86,7 @@ type mvcCliqueDetProgram struct {
 	sub, it       int
 	inR, inC, inS bool
 	candidate     bool
-	hop           *primitives.StepHopMax
+	hop           primitives.StepHopMax
 	phase2        *cliqueStepPhaseII
 }
 
@@ -119,7 +119,7 @@ func (p *mvcCliqueDetProgram) Step(nd *congest.Node) (bool, error) {
 		case cliqueDetDR:
 			dR := 0
 			for _, in := range nd.Recv() {
-				if in.Msg.(congest.Int).V == 1 {
+				if in.Msg.Int() == 1 {
 					dR++
 				}
 			}
@@ -131,7 +131,7 @@ func (p *mvcCliqueDetProgram) Step(nd *congest.Node) (bool, error) {
 		case cliqueDetOR:
 			any := p.candidate
 			for _, in := range nd.Recv() {
-				if in.Msg.(congest.Int).V == 1 {
+				if in.Msg.Int() == 1 {
 					any = true
 				}
 			}
@@ -145,7 +145,7 @@ func (p *mvcCliqueDetProgram) Step(nd *congest.Node) (bool, error) {
 			if p.candidate {
 				val = int64(nd.ID()) + 1
 			}
-			p.hop = primitives.NewStepTwoHopMax(val)
+			p.hop.Reset(val, 0, 2)
 			p.hop.Step(nd)
 			p.sub = cliqueDetHop
 			return false, nil
@@ -154,7 +154,7 @@ func (p *mvcCliqueDetProgram) Step(nd *congest.Node) (bool, error) {
 				return false, nil
 			}
 			if p.candidate && p.hop.Max() == int64(nd.ID())+1 {
-				nd.BroadcastNeighbors(congest.Flag{})
+				nd.BroadcastNeighbors(congest.Flag())
 				p.inC = false
 			}
 			nd.SpanEnd("phase1-iter", p.it)
@@ -194,10 +194,10 @@ type cliqueStepPhaseII struct {
 
 	sub      int
 	started  bool
-	leader   *primitives.StepCliqueLeader
-	status   *primitives.StepStatusExchange
+	leader   primitives.StepCliqueLeader
+	status   primitives.StepStatusExchange
 	near     *powerGather
-	gather   *primitives.StepDirectGather
+	gather   primitives.StepDirectGather
 	leaderID int
 	inCover  bool
 }
@@ -208,7 +208,7 @@ func newCliqueStepPhaseII(nd *congest.Node, inR bool, maxItems, n int, solver Lo
 	}
 	return &cliqueStepPhaseII{
 		n: n, power: power, maxItems: maxItems, inR: inR, solver: solver, gmode: gmode,
-		leader: primitives.NewStepCliqueLeader(nd),
+		leader: *primitives.NewStepCliqueLeader(nd),
 	}
 }
 
@@ -219,7 +219,7 @@ func (p *cliqueStepPhaseII) startGather(items []congest.Message) {
 		// (r = 2), or the degree+1 bound failed (other powers).
 		panic("core: clique Phase II item bound violated")
 	}
-	p.gather = primitives.NewStepDirectGather(p.leaderID, items, p.maxItems)
+	p.gather = *primitives.NewStepDirectGather(p.leaderID, items, p.maxItems)
 }
 
 func (p *cliqueStepPhaseII) Step(nd *congest.Node) bool {
@@ -235,7 +235,7 @@ func (p *cliqueStepPhaseII) Step(nd *congest.Node) bool {
 			}
 			nd.SpanEnd("leader-elect", 0)
 			p.leaderID = p.leader.Leader()
-			p.status = primitives.NewStepStatusExchange(p.inR)
+			p.status = *primitives.NewStepStatusExchange(p.inR)
 			p.sub = 1
 		case 1:
 			if !p.status.Step(nd) {
@@ -274,7 +274,7 @@ func (p *cliqueStepPhaseII) Step(nd *congest.Node) bool {
 				p.inCover = cover.Contains(nd.ID())
 				cover.ForEach(func(v int) bool {
 					if v != nd.ID() {
-						nd.MustSend(v, congest.Flag{})
+						nd.MustSend(v, congest.Flag())
 					}
 					return true
 				})

@@ -41,7 +41,7 @@ func blockingMVCCliqueDeterministic(g *graph.Graph, eps float64, opts *Options) 
 			nd.NextRound()
 			dR := 0
 			for _, in := range nd.Recv() {
-				if in.Msg.(congest.Int).V == 1 {
+				if in.Msg.Int() == 1 {
 					dR++
 				}
 			}
@@ -51,7 +51,7 @@ func blockingMVCCliqueDeterministic(g *graph.Graph, eps float64, opts *Options) 
 			nd.NextRound()
 			any := candidate
 			for _, in := range nd.Recv() {
-				if in.Msg.(congest.Int).V == 1 {
+				if in.Msg.Int() == 1 {
 					any = true
 				}
 			}
@@ -65,7 +65,7 @@ func blockingMVCCliqueDeterministic(g *graph.Graph, eps float64, opts *Options) 
 			maxVal := primitives.TwoHopMax(nd, val)
 			selected := candidate && maxVal == int64(nd.ID())+1
 			if selected {
-				nd.BroadcastNeighbors(congest.Flag{})
+				nd.BroadcastNeighbors(congest.Flag())
 				inC = false
 			}
 			nd.NextRound()
@@ -94,7 +94,7 @@ func cliquePhaseII(nd *congest.Node, inR bool, maxItems int, solver LocalSolver)
 	n := nd.N()
 	// Leader election: everyone flags everyone; min id wins (always 0, but
 	// paid for honestly with one clique round).
-	nd.Broadcast(congest.Flag{})
+	nd.Broadcast(congest.Flag())
 	nd.NextRound()
 	leader := nd.ID()
 	for _, in := range nd.Recv() {
@@ -107,7 +107,7 @@ func cliquePhaseII(nd *congest.Node, inR bool, maxItems int, solver LocalSolver)
 	nd.NextRound()
 	var items []congest.Message
 	for _, in := range nd.Recv() {
-		if in.Msg.(congest.Int).V == 1 {
+		if in.Msg.Int() == 1 {
 			items = append(items, congest.NewPair(n, int64(nd.ID()), int64(in.From)))
 		}
 	}
@@ -136,7 +136,7 @@ func cliquePhaseII(nd *congest.Node, inR bool, maxItems int, solver LocalSolver)
 		inCover = cover.Contains(nd.ID())
 		cover.ForEach(func(v int) bool {
 			if v != nd.ID() {
-				nd.MustSend(v, congest.Flag{})
+				nd.MustSend(v, congest.Flag())
 			}
 			return true
 		})

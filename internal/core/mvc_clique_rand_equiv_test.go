@@ -39,7 +39,7 @@ func blockingMVCCliqueRandomized(g *graph.Graph, eps float64, opts *Options) (*R
 			nd.NextRound()
 			live := make([]int, 0, nd.Degree())
 			for _, in := range nd.Recv() {
-				if in.Msg.(congest.Int).V == 1 {
+				if in.Msg.Int() == 1 {
 					live = append(live, in.From)
 				}
 			}
@@ -51,7 +51,7 @@ func blockingMVCCliqueRandomized(g *graph.Graph, eps float64, opts *Options) (*R
 			nd.NextRound()
 			any := candidate
 			for _, in := range nd.Recv() {
-				if in.Msg.(congest.Int).V == 1 {
+				if in.Msg.Int() == 1 {
 					any = true
 				}
 			}
@@ -69,21 +69,20 @@ func blockingMVCCliqueRandomized(g *graph.Graph, eps float64, opts *Options) (*R
 				} else {
 					myRank = int64(nd.ID())
 				}
-				nd.BroadcastNeighbors(rankMsg{Rank: myRank, Width: rankW})
+				nd.BroadcastNeighbors(congest.NewIntWidth(myRank, rankW))
 			}
 			nd.NextRound()
 			voteFor := -1
 			var bestRank int64 = -1
 			if inR {
 				for _, in := range nd.Recv() {
-					m, ok := in.Msg.(rankMsg)
-					if !ok {
+					if in.Msg.Kind() != congest.KindInt {
 						continue
 					}
 					// Highest rank wins; ties break toward the higher id
 					// (deterministic, consistent at every voter).
-					if m.Rank > bestRank || (m.Rank == bestRank && in.From > voteFor) {
-						bestRank = m.Rank
+					if v := in.Msg.Int(); v > bestRank || (v == bestRank && in.From > voteFor) {
+						bestRank = v
 						voteFor = in.From
 					}
 				}
@@ -97,7 +96,7 @@ func blockingMVCCliqueRandomized(g *graph.Graph, eps float64, opts *Options) (*R
 			nd.NextRound()
 			votes := 0
 			for _, in := range nd.Recv() {
-				if m, ok := in.Msg.(congest.Int); ok && int(m.V) == nd.ID() {
+				if in.Msg.Kind() == congest.KindInt && int(in.Msg.Int()) == nd.ID() {
 					votes++
 				}
 			}
@@ -105,7 +104,7 @@ func blockingMVCCliqueRandomized(g *graph.Graph, eps float64, opts *Options) (*R
 
 			// Round 5: successful candidates move N(c) into S.
 			if success {
-				nd.BroadcastNeighbors(congest.Flag{})
+				nd.BroadcastNeighbors(congest.Flag())
 				succeeded = true
 			}
 			nd.NextRound()

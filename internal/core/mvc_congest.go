@@ -103,7 +103,7 @@ type mvcCongestProgram struct {
 
 	stage   int
 	gather  *powerGather
-	pipe    *primitives.StepLeaderPipeline
+	pipe    primitives.StepLeaderPipeline
 	inRStar bool
 }
 
@@ -117,7 +117,7 @@ func (p *mvcCongestProgram) Step(nd *congest.Node) (bool, error) {
 			if p.power == 2 {
 				// The paper's exact F-edge wire format (Lemma 2/3).
 				items := uEdgeItems(p.n, nd.ID(), p.uNbrs)
-				p.pipe = primitives.NewStepLeaderPipeline(nd, items, func(gathered []congest.Message) []congest.Message {
+				p.pipe.Reset(nd, items, func(gathered []congest.Message) []congest.Message {
 					return coverIDItems(leaderSolveRemainder(p.n, gathered, p.solver), p.idw)
 				})
 				p.stage = 2
@@ -130,7 +130,7 @@ func (p *mvcCongestProgram) Step(nd *congest.Node) (bool, error) {
 				return false, nil
 			}
 			items := powerEdgeItems(nd, p.gather, p.inR)
-			p.pipe = primitives.NewStepLeaderPipeline(nd, items, func(gathered []congest.Message) []congest.Message {
+			p.pipe.Reset(nd, items, func(gathered []congest.Message) []congest.Message {
 				return coverIDItems(leaderSolvePowerRemainder(p.n, p.power, gathered, p.solver), p.idw)
 			})
 			p.stage = 2
@@ -139,7 +139,7 @@ func (p *mvcCongestProgram) Step(nd *congest.Node) (bool, error) {
 				return false, nil
 			}
 			for _, m := range p.pipe.Items() {
-				if m.(congest.Int).V == int64(nd.ID()) {
+				if m.Int() == int64(nd.ID()) {
 					p.inRStar = true
 				}
 			}
@@ -160,7 +160,7 @@ func (p *mvcCongestProgram) stepPhaseI(nd *congest.Node) bool {
 	case p.sr == 4*p.iterations+1:
 		// Final status exchange: learn which neighbors are in U = V \ S.
 		for _, in := range nd.Recv() {
-			if in.Msg.(congest.Int).V == 1 {
+			if in.Msg.Int() == 1 {
 				p.uNbrs = append(p.uNbrs, in.From)
 			}
 		}
@@ -181,7 +181,7 @@ func (p *mvcCongestProgram) stepPhaseI(nd *congest.Node) bool {
 			// Algorithm 1). First slice of the 2-hop max: flood own value.
 			dR := 0
 			for _, in := range nd.Recv() {
-				if in.Msg.(congest.Int).V == 1 {
+				if in.Msg.Int() == 1 {
 					dR++
 				}
 			}
@@ -195,7 +195,7 @@ func (p *mvcCongestProgram) stepPhaseI(nd *congest.Node) bool {
 		case 1:
 			// Second slice of the 2-hop max: flood the 1-hop maximum.
 			for _, in := range nd.Recv() {
-				if v := in.Msg.(congest.Int).V; v > p.maxVal {
+				if v := in.Msg.Int(); v > p.maxVal {
 					p.maxVal = v
 				}
 			}
@@ -203,13 +203,13 @@ func (p *mvcCongestProgram) stepPhaseI(nd *congest.Node) bool {
 		case 2:
 			// Selected centers (2-hop maxima) move N(c) into S.
 			for _, in := range nd.Recv() {
-				if v := in.Msg.(congest.Int).V; v > p.maxVal {
+				if v := in.Msg.Int(); v > p.maxVal {
 					p.maxVal = v
 				}
 			}
 			p.selected = p.candidate && p.maxVal == int64(nd.ID())+1
 			if p.selected {
-				nd.Broadcast(congest.Flag{})
+				nd.Broadcast(congest.Flag())
 				p.inC = false
 			}
 		case 3:
@@ -236,9 +236,9 @@ func leaderSolveRemainder(n int, gathered []congest.Message, solver LocalSolver)
 	u := bitset.New(n)
 	b := graph.NewBuilder(n)
 	for _, m := range gathered {
-		p := m.(congest.Pair)
-		u.Add(int(p.B))
-		if _, err := b.AddEdgeIfAbsent(int(p.A), int(p.B)); err != nil {
+		v, w := m.Pair()
+		u.Add(int(w))
+		if _, err := b.AddEdgeIfAbsent(int(v), int(w)); err != nil {
 			panic(err) // malformed item: an engine/protocol bug, not user input
 		}
 	}

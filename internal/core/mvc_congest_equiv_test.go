@@ -42,7 +42,7 @@ func blockingMVCCongest(g *graph.Graph, eps float64, opts *Options) (*Result, er
 			nd.NextRound()
 			dR := 0
 			for _, in := range nd.Recv() {
-				if in.Msg.(congest.Int).V == 1 {
+				if in.Msg.Int() == 1 {
 					dR++
 				}
 			}
@@ -54,7 +54,7 @@ func blockingMVCCongest(g *graph.Graph, eps float64, opts *Options) (*Result, er
 			maxVal := primitives.TwoHopMax(nd, val)
 			selected := candidate && maxVal == int64(nd.ID())+1
 			if selected {
-				nd.Broadcast(congest.Flag{})
+				nd.Broadcast(congest.Flag())
 				inC = false
 			}
 			nd.NextRound()
@@ -69,7 +69,7 @@ func blockingMVCCongest(g *graph.Graph, eps float64, opts *Options) (*Result, er
 		nd.NextRound()
 		uNbrs := make([]int, 0, nd.Degree())
 		for _, in := range nd.Recv() {
-			if in.Msg.(congest.Int).V == 1 {
+			if in.Msg.Int() == 1 {
 				uNbrs = append(uNbrs, in.From)
 			}
 		}
@@ -93,7 +93,7 @@ func blockingMVCCongest(g *graph.Graph, eps float64, opts *Options) (*Result, er
 		all := primitives.FloodItemsFromRoot(nd, tree, solutionIDs)
 		inRStar := false
 		for _, m := range all {
-			if m.(congest.Int).V == int64(nd.ID()) {
+			if m.Int() == int64(nd.ID()) {
 				inRStar = true
 			}
 		}

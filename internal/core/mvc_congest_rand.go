@@ -96,7 +96,7 @@ type mvcRandCongestProgram struct {
 	voting  *primitives.StepVotingPhase
 	status  *primitives.StepStatusExchange
 	gather  *powerGather
-	pipe    *primitives.StepLeaderPipeline
+	pipe    primitives.StepLeaderPipeline
 	stage   int
 	inRStar bool
 }
@@ -116,7 +116,7 @@ func (p *mvcRandCongestProgram) Step(nd *congest.Node) (bool, error) {
 			}
 			if p.power == 2 {
 				items := uEdgeItems(p.n, nd.ID(), p.status.On())
-				p.pipe = primitives.NewStepLeaderPipeline(nd, items, func(gathered []congest.Message) []congest.Message {
+				p.pipe.Reset(nd, items, func(gathered []congest.Message) []congest.Message {
 					return coverIDItems(leaderSolveRemainder(p.n, gathered, p.solver), p.idw)
 				})
 				p.stage = 3
@@ -129,7 +129,7 @@ func (p *mvcRandCongestProgram) Step(nd *congest.Node) (bool, error) {
 				return false, nil
 			}
 			items := powerEdgeItems(nd, p.gather, p.voting.InR())
-			p.pipe = primitives.NewStepLeaderPipeline(nd, items, func(gathered []congest.Message) []congest.Message {
+			p.pipe.Reset(nd, items, func(gathered []congest.Message) []congest.Message {
 				return coverIDItems(leaderSolvePowerRemainder(p.n, p.power, gathered, p.solver), p.idw)
 			})
 			p.stage = 3
@@ -138,7 +138,7 @@ func (p *mvcRandCongestProgram) Step(nd *congest.Node) (bool, error) {
 				return false, nil
 			}
 			for _, m := range p.pipe.Items() {
-				if m.(congest.Int).V == int64(nd.ID()) {
+				if m.Int() == int64(nd.ID()) {
 					p.inRStar = true
 				}
 			}

@@ -10,16 +10,9 @@ import (
 	"powergraph/internal/graph"
 )
 
-// rankMsg announces a candidate's random rank (drawn from [n⁴], exactly the
-// 4·⌈log₂ n⌉ bits the paper's voting scheme budgets for). It is the message
-// type of the blocking references; the step programs send congest.Int values
-// of identical width, so the two are bit-for-bit indistinguishable.
-type rankMsg struct {
-	Rank  int64
-	Width int
-}
-
-func (m rankMsg) Bits() int { return m.Width }
+// The blocking references announce a candidate's random rank (drawn from
+// [n⁴], exactly the 4·⌈log₂ n⌉ bits the paper's voting scheme budgets for)
+// as a KindInt message of that width, exactly as the step programs do.
 
 // blockingMVCCongestRandomized is the original blocking handler
 // implementation of Section 3.3, kept verbatim as a reference for
@@ -53,7 +46,7 @@ func blockingMVCCongestRandomized(g *graph.Graph, eps float64, opts *Options) (*
 			nd.NextRound()
 			dR := 0
 			for _, in := range nd.Recv() {
-				if in.Msg.(congest.Int).V == 1 {
+				if in.Msg.Int() == 1 {
 					dR++
 				}
 			}
@@ -67,19 +60,18 @@ func blockingMVCCongestRandomized(g *graph.Graph, eps float64, opts *Options) (*
 				} else {
 					myRank = int64(nd.ID())
 				}
-				nd.BroadcastNeighbors(rankMsg{Rank: myRank, Width: rankW})
+				nd.BroadcastNeighbors(congest.NewIntWidth(myRank, rankW))
 			}
 			nd.NextRound()
 			voteFor := -1
 			var bestRank int64 = -1
 			if inR {
 				for _, in := range nd.Recv() {
-					m, ok := in.Msg.(rankMsg)
-					if !ok {
+					if in.Msg.Kind() != congest.KindInt {
 						continue
 					}
-					if m.Rank > bestRank || (m.Rank == bestRank && in.From > voteFor) {
-						bestRank = m.Rank
+					if v := in.Msg.Int(); v > bestRank || (v == bestRank && in.From > voteFor) {
+						bestRank = v
 						voteFor = in.From
 					}
 				}
@@ -92,7 +84,7 @@ func blockingMVCCongestRandomized(g *graph.Graph, eps float64, opts *Options) (*
 			nd.NextRound()
 			votes := 0
 			for _, in := range nd.Recv() {
-				if m, ok := in.Msg.(congest.Int); ok && int(m.V) == nd.ID() {
+				if in.Msg.Kind() == congest.KindInt && int(in.Msg.Int()) == nd.ID() {
 					votes++
 				}
 			}
@@ -100,7 +92,7 @@ func blockingMVCCongestRandomized(g *graph.Graph, eps float64, opts *Options) (*
 
 			// Round 4: successful candidates retire their neighborhoods.
 			if success {
-				nd.BroadcastNeighbors(congest.Flag{})
+				nd.BroadcastNeighbors(congest.Flag())
 				succeeded = true
 			}
 			nd.NextRound()
@@ -116,7 +108,7 @@ func blockingMVCCongestRandomized(g *graph.Graph, eps float64, opts *Options) (*
 		nd.NextRound()
 		uNbrs := make([]int, 0, nd.Degree())
 		for _, in := range nd.Recv() {
-			if in.Msg.(congest.Int).V == 1 {
+			if in.Msg.Int() == 1 {
 				uNbrs = append(uNbrs, in.From)
 			}
 		}
@@ -137,7 +129,7 @@ func blockingMVCCongestRandomized(g *graph.Graph, eps float64, opts *Options) (*
 		all := primitives.FloodItemsFromRoot(nd, tree, solutionIDs)
 		inRStar := false
 		for _, m := range all {
-			if m.(congest.Int).V == int64(nd.ID()) {
+			if m.Int() == int64(nd.ID()) {
 				inRStar = true
 			}
 		}

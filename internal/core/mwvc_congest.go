@@ -10,16 +10,20 @@ import (
 	"powergraph/internal/graph"
 )
 
-// edgeOrWeight is the Phase-II gather item of the weighted algorithm: either
-// an F-edge report {A,B} with B ∈ U, or a weight report (A = vertex, B =
-// its weight). One tag bit distinguishes them.
-type edgeOrWeight struct {
-	IsWeight bool
-	A, B     int64
-	WA, WB   int
+// The Phase-II gather items of the weighted algorithm are either an F-edge
+// report {A, B} with B ∈ U, or a weight report (A = vertex, B = its weight).
+// One tag bit distinguishes them on the wire; it is charged inside A's
+// width.
+
+// newEdgeReport builds the edge report {a, b} with id-width fields.
+func newEdgeReport(a, b int64, idw int) congest.Message {
+	return congest.NewMessage(congest.KindEdgeReport, a, b, 1+idw, idw)
 }
 
-func (m edgeOrWeight) Bits() int { return 1 + m.WA + m.WB }
+// newWeightReport builds vertex v's weight report.
+func newWeightReport(v, w int64, idw, wBits int) congest.Message {
+	return congest.NewMessage(congest.KindWeightReport, v, w, 1+idw, wBits)
+}
 
 // ApproxMWVCCongest runs the weighted variant of Algorithm 1 (Theorem 7): a
 // deterministic (1+ε)-approximation for minimum weighted vertex cover on
@@ -73,7 +77,7 @@ func ApproxMWVCCongest(g *graph.Graph, eps float64, opts *Options) (*Result, err
 		}
 	}
 	solver, solveRep := opts.leaderSolver()
-	ratio := eps / (1 + eps)
+	selector := ripeSelector(eps / (1 + eps))
 
 	// Every ripe class has at least (1+ε)/ε = 1 + 1/ε members, so a
 	// productive iteration removes at least ⌊1+1/ε⌋ vertices from R and
@@ -104,7 +108,7 @@ func ApproxMWVCCongest(g *graph.Graph, eps float64, opts *Options) (*Result, err
 	res, err := congest.RunProgram(cfg, func(nd *congest.Node) congest.StepProgram[nodeOut] {
 		return &mwvcCongestProgram{
 			n: n, power: r, idw: idw, maxWBits: maxWBits, solver: solver, gmode: opts.gatherMode(),
-			phase1: primitives.NewStepWeightedLocalRatio(nd, iterations, maxWBits, ripeSelector(ratio)),
+			phase1: *primitives.NewStepWeightedLocalRatio(nd, iterations, maxWBits, selector),
 		}
 	})
 	if err != nil {
@@ -118,57 +122,47 @@ func ApproxMWVCCongest(g *graph.Graph, eps float64, opts *Options) (*Result, err
 // geometrically increasing weight (anchored at the smallest positive
 // neighbor weight) and return the union of N_i(c) ∩ R over every class
 // whose maximum live weight is at most the class total times ε/(1+ε).
+// Weights fit in 63 bits, so class indices stay below 64 and the per-class
+// sums and maxima live in fixed arrays on the stack.
 func ripeSelector(ratio float64) primitives.PayeeSelector {
-	return func(nd *congest.Node, nbrWeight map[int]int64, inRNbr map[int]bool) []int {
+	return func(nd *congest.Node, nbrWeight []int64, inRNbr []bool, payees []int) []int {
 		wMin := int64(0)
 		for _, w := range nbrWeight {
 			if w > 0 && (wMin == 0 || w < wMin) {
 				wMin = w
 			}
 		}
-		classOf := func(u int) int {
-			w := nbrWeight[u]
-			if w <= 0 || wMin == 0 {
-				return -1 // zero-weight: pre-covered, never in a class
-			}
+		if wMin == 0 {
+			return payees // every neighbor is zero-weight: pre-covered
+		}
+		classOf := func(w int64) int {
 			c := 0
 			for t := wMin; t*2 <= w; t *= 2 {
 				c++
 			}
 			return c
 		}
-		type agg struct {
-			sum, max int64
-			members  []int
+		var sum, top [64]int64
+		for i, w := range nbrWeight {
+			if !inRNbr[i] || w <= 0 {
+				continue // zero-weight: pre-covered, never in a class
+			}
+			ci := classOf(w)
+			sum[ci] += w
+			if w > top[ci] {
+				top[ci] = w
+			}
 		}
-		classes := map[int]*agg{}
-		for _, u := range nd.Neighbors() {
-			if !inRNbr[u] {
+		for i, u := range nd.Neighbors() {
+			w := nbrWeight[i]
+			if !inRNbr[i] || w <= 0 {
 				continue
 			}
-			ci := classOf(u)
-			if ci < 0 {
-				continue
-			}
-			a := classes[ci]
-			if a == nil {
-				a = &agg{}
-				classes[ci] = a
-			}
-			w := nbrWeight[u]
-			a.sum += w
-			if w > a.max {
-				a.max = w
-			}
-			a.members = append(a.members, u)
-		}
-		var out []int
-		for _, a := range classes {
-			if float64(a.max) <= float64(a.sum)*ratio+1e-12 {
-				out = append(out, a.members...)
+			if ci := classOf(w); float64(top[ci]) <= float64(sum[ci])*ratio+1e-12 {
+				payees = append(payees, u)
 			}
 		}
-		return out
+		return payees
 	}
 }
 
@@ -180,9 +174,9 @@ type mwvcCongestProgram struct {
 	solver                  LocalSolver
 	gmode                   GatherMode
 
-	phase1  *primitives.StepWeightedLocalRatio
+	phase1  primitives.StepWeightedLocalRatio
 	gather  *powerGather
-	pipe    *primitives.StepLeaderPipeline
+	pipe    primitives.StepLeaderPipeline
 	stage   int
 	inRStar bool
 }
@@ -193,10 +187,10 @@ type mwvcCongestProgram struct {
 func (p *mwvcCongestProgram) weightedItems(nd *congest.Node, edgeNbrs []int) []congest.Message {
 	items := make([]congest.Message, 0, len(edgeNbrs)+1)
 	for _, u := range edgeNbrs {
-		items = append(items, edgeOrWeight{A: int64(nd.ID()), B: int64(u), WA: p.idw, WB: p.idw})
+		items = append(items, newEdgeReport(int64(nd.ID()), int64(u), p.idw))
 	}
 	if p.phase1.InR() {
-		items = append(items, edgeOrWeight{IsWeight: true, A: int64(nd.ID()), B: nd.Weight(), WA: p.idw, WB: p.maxWBits})
+		items = append(items, newWeightReport(int64(nd.ID()), nd.Weight(), p.idw, p.maxWBits))
 	}
 	return items
 }
@@ -211,7 +205,7 @@ func (p *mwvcCongestProgram) Step(nd *congest.Node) (bool, error) {
 			if p.power == 2 {
 				// Lemma 8's F-edges: only edges into the live set U.
 				items := p.weightedItems(nd, p.phase1.UNbrs())
-				p.pipe = primitives.NewStepLeaderPipeline(nd, items, func(gathered []congest.Message) []congest.Message {
+				p.pipe.Reset(nd, items, func(gathered []congest.Message) []congest.Message {
 					return coverIDItems(leaderSolveWeightedRemainder(p.n, gathered, p.solver), p.idw)
 				})
 				p.stage = 2
@@ -227,7 +221,7 @@ func (p *mwvcCongestProgram) Step(nd *congest.Node) (bool, error) {
 			// paths of Gʳ[U] may route outside U); membership travels on
 			// weight reports.
 			items := p.weightedItems(nd, p.gather.EdgeNbrs(nd))
-			p.pipe = primitives.NewStepLeaderPipeline(nd, items, func(gathered []congest.Message) []congest.Message {
+			p.pipe.Reset(nd, items, func(gathered []congest.Message) []congest.Message {
 				return coverIDItems(leaderSolveWeightedPowerRemainder(p.n, p.power, gathered, p.solver), p.idw)
 			})
 			p.stage = 2
@@ -236,7 +230,7 @@ func (p *mwvcCongestProgram) Step(nd *congest.Node) (bool, error) {
 				return false, nil
 			}
 			for _, m := range p.pipe.Items() {
-				if m.(congest.Int).V == int64(nd.ID()) {
+				if m.Int() == int64(nd.ID()) {
 					p.inRStar = true
 				}
 			}
@@ -256,14 +250,13 @@ func leaderSolveWeightedRemainder(n int, gathered []congest.Message, solver Loca
 	weights := make(map[int]int64)
 	b := graph.NewBuilder(n)
 	for _, m := range gathered {
-		p := m.(edgeOrWeight)
-		if p.IsWeight {
-			u.Add(int(p.A))
-			weights[int(p.A)] = p.B
+		if m.Kind() == congest.KindWeightReport {
+			u.Add(int(m.A()))
+			weights[int(m.A())] = m.B()
 			continue
 		}
-		u.Add(int(p.B))
-		if _, err := b.AddEdgeIfAbsent(int(p.A), int(p.B)); err != nil {
+		u.Add(int(m.B()))
+		if _, err := b.AddEdgeIfAbsent(int(m.A()), int(m.B())); err != nil {
 			panic(err)
 		}
 	}

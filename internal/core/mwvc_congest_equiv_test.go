@@ -46,7 +46,7 @@ func blockingMWVCCongest(g *graph.Graph, eps float64, opts *Options) (*Result, e
 		nd.NextRound()
 		nbrWeight := make(map[int]int64, nd.Degree())
 		for _, in := range nd.Recv() {
-			nbrWeight[in.From] = in.Msg.(congest.Int).V
+			nbrWeight[in.From] = in.Msg.Int()
 		}
 		// Fixed class structure over the full neighborhood N(c).
 		wMin := int64(0)
@@ -114,7 +114,7 @@ func blockingMWVCCongest(g *graph.Graph, eps float64, opts *Options) (*Result, e
 			nd.Broadcast(congest.NewIntWidth(boolBit(inR), 1))
 			nd.NextRound()
 			for _, in := range nd.Recv() {
-				inRNbr[in.From] = in.Msg.(congest.Int).V == 1
+				inRNbr[in.From] = in.Msg.Int() == 1
 			}
 			ripe := ripeMembers()
 			val := int64(0)
@@ -125,7 +125,7 @@ func blockingMWVCCongest(g *graph.Graph, eps float64, opts *Options) (*Result, e
 			selected := len(ripe) > 0 && maxVal == int64(nd.ID())+1
 			if selected {
 				for _, u := range ripe {
-					nd.MustSend(u, congest.Flag{})
+					nd.MustSend(u, congest.Flag())
 				}
 			}
 			nd.NextRound()
@@ -140,7 +140,7 @@ func blockingMWVCCongest(g *graph.Graph, eps float64, opts *Options) (*Result, e
 		nd.NextRound()
 		uNbrs := make([]int, 0, nd.Degree())
 		for _, in := range nd.Recv() {
-			if in.Msg.(congest.Int).V == 1 {
+			if in.Msg.Int() == 1 {
 				uNbrs = append(uNbrs, in.From)
 			}
 		}
@@ -151,10 +151,10 @@ func blockingMWVCCongest(g *graph.Graph, eps float64, opts *Options) (*Result, e
 		tree := primitives.BFSTree(nd, leader)
 		items := make([]congest.Message, 0, len(uNbrs)+1)
 		for _, u := range uNbrs {
-			items = append(items, edgeOrWeight{A: int64(nd.ID()), B: int64(u), WA: idw, WB: idw})
+			items = append(items, newEdgeReport(int64(nd.ID()), int64(u), idw))
 		}
 		if inR {
-			items = append(items, edgeOrWeight{IsWeight: true, A: int64(nd.ID()), B: nd.Weight(), WA: idw, WB: maxWBits})
+			items = append(items, newWeightReport(int64(nd.ID()), nd.Weight(), idw, maxWBits))
 		}
 		gathered := primitives.GatherAtRoot(nd, tree, items)
 
@@ -168,7 +168,7 @@ func blockingMWVCCongest(g *graph.Graph, eps float64, opts *Options) (*Result, e
 		all := primitives.FloodItemsFromRoot(nd, tree, solutionIDs)
 		inRStar := false
 		for _, m := range all {
-			if m.(congest.Int).V == int64(nd.ID()) {
+			if m.Int() == int64(nd.ID()) {
 				inRStar = true
 			}
 		}

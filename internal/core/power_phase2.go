@@ -174,12 +174,12 @@ func leaderSolvePowerRemainder(n, r int, gathered []congest.Message, solver Loca
 	u := bitset.New(n)
 	b := graph.NewBuilder(n)
 	for _, m := range gathered {
-		p := m.(congest.Pair)
-		if p.A == p.B {
-			u.Add(int(p.A))
+		v, w := m.Pair()
+		if v == w {
+			u.Add(int(v))
 			continue
 		}
-		if _, err := b.AddEdgeIfAbsent(int(p.A), int(p.B)); err != nil {
+		if _, err := b.AddEdgeIfAbsent(int(v), int(w)); err != nil {
 			panic(err) // malformed item: an engine/protocol bug, not user input
 		}
 	}
@@ -208,13 +208,12 @@ func leaderSolveWeightedPowerRemainder(n, r int, gathered []congest.Message, sol
 	weights := make(map[int]int64)
 	b := graph.NewBuilder(n)
 	for _, m := range gathered {
-		p := m.(edgeOrWeight)
-		if p.IsWeight {
-			u.Add(int(p.A))
-			weights[int(p.A)] = p.B
+		if m.Kind() == congest.KindWeightReport {
+			u.Add(int(m.A()))
+			weights[int(m.A())] = m.B()
 			continue
 		}
-		if _, err := b.AddEdgeIfAbsent(int(p.A), int(p.B)); err != nil {
+		if _, err := b.AddEdgeIfAbsent(int(m.A()), int(m.B())); err != nil {
 			panic(err)
 		}
 	}

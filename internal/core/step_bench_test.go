@@ -12,7 +12,10 @@ import (
 // BenchmarkStepVsCoroutine compares, per algorithm, the engine's two
 // execution paths on one mid-size instance: the coroutine adapter driving
 // the preserved blocking reference against the native step program the
-// registry dispatches to. Run it with `make bench-step`.
+// registry dispatches to. The sweep/* rows are native only: the four job
+// shapes of perfbench's congest-sweep workload (connected-gnp n=1000), so
+// `make bench-step` (which runs with -benchmem) reproduces the per-run
+// allocations ARCHITECTURE.md quotes without the benchmark harness.
 func BenchmarkStepVsCoroutine(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	g := graph.ConnectedGNP(256, 8.0/256, rng)
@@ -32,6 +35,11 @@ func BenchmarkStepVsCoroutine(b *testing.B) {
 	g1k := graph.ConnectedGNP(1000, 8.0/1000, rng)
 	gw1k := graph.WithRandomWeights(g1k, 20, rng)
 	mdsOpts1k := &MDSOptions{Options: *opts}
+	// The congest-sweep instances: weights 1–2 for the weighted job, the
+	// sparsified gather at r=3.
+	sweepG := graph.ConnectedGNP(1000, 8.0/1000, rng)
+	sweepGW := graph.WithRandomWeights(sweepG, 2, rng)
+	sweepR3 := &Options{Seed: 1, Power: 3, Gather: GatherSparsified}
 
 	cases := []struct {
 		name      string
@@ -78,15 +86,21 @@ func BenchmarkStepVsCoroutine(b *testing.B) {
 			func() (*Result, error) { return blockingMDSCongest(g, mdsOpts) },
 			func() (*Result, error) { return ApproxMDSCongest(g, mdsOpts) },
 		},
+		{"sweep/mvc-congest-r2", nil, func() (*Result, error) { return ApproxMVCCongest(sweepG, 0.5, opts) }},
+		{"sweep/mwvc-congest-r2", nil, func() (*Result, error) { return ApproxMWVCCongest(sweepGW, 0.5, opts) }},
+		{"sweep/mds-congest-r2", nil, func() (*Result, error) { return ApproxMDSCongest(sweepG, mdsOpts1k) }},
+		{"sweep/mvc-congest-r3-sparsified", nil, func() (*Result, error) { return ApproxMVCCongest(sweepG, 0.5, sweepR3) }},
 	}
 	for _, c := range cases {
-		b.Run(c.name+"/coroutine", func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := c.coroutine(); err != nil {
-					b.Fatal(err)
+		if c.coroutine != nil {
+			b.Run(c.name+"/coroutine", func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					if _, err := c.coroutine(); err != nil {
+						b.Fatal(err)
+					}
 				}
-			}
-		})
+			})
+		}
 		b.Run(c.name+"/native", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				if _, err := c.native(); err != nil {
