@@ -108,19 +108,17 @@ sweep-power-smoke:
 sweep-kernel:
 	$(GO) run ./cmd/powerbench -spec specs/kernel-sweep.json -strict -quiet -out $(OUT)
 
-# Sparsified-vs-legacy Phase-II gather comparison at r ∈ {3, 4},
-# n = 500…2000 (regenerates BENCH_sparsify.json): every cell runs twice on
-# identical instances and seeds — once through the StepSparsify certificate
-# gather, once through the legacy all-incident-edges near flood — so the
-# messages / maxRoundMessages columns are a controlled measurement of the
-# sparsifier's win.
+# The sparsified Phase-II gather at r ∈ {3, 4}, n = 500…2000: the
+# StepSparsify certificate gather on the three CONGEST leader algorithms,
+# with the gather's own message count in each cell's gatherMessages column.
 sweep-sparsify:
 	$(GO) run ./cmd/powerbench -spec specs/sparsify-sweep.json -strict -quiet -out $(OUT)
 
-# CI gate for the sparsified gather: the sparsify matrix at smoke sizes
-# (r ∈ {3, 4}, both gather modes on identical instances) under -strict,
-# with per-job traces validated by powertrace — any infeasible Gʳ solution,
-# gather divergence, or malformed phase2-sparsify span fails the run.
+# CI smoke test of the sparsified gather: the sparsify matrix at smoke
+# sizes (r ∈ {3, 4}) under -strict, which fails on any failed job,
+# infeasible Gʳ solution or leader solve that fell back, with per-job
+# traces validated by powertrace -check (malformed spans, such as a broken
+# phase2-sparsify span, fail it).
 sparsify-smoke:
 	$(GO) run ./cmd/powerbench -spec specs/sparsify-smoke.json -strict -quiet \
 		-out $(OUT) -trace $(OUT)/sparsify-traces

@@ -52,7 +52,7 @@ func main() {
 
 func run() error {
 	var (
-		list       = flag.Bool("list", false, "print the registered algorithms, generators, local solvers, and gather modes, then exit")
+		list       = flag.Bool("list", false, "print the registered algorithms, generators, and local solvers, then exit")
 		specPath   = flag.String("spec", "", "JSON spec file (overrides the matrix flags)")
 		name       = flag.String("name", "sweep", "sweep name (labels BENCH_<name>.json)")
 		generators = flag.String("generators", "connected-gnp,random-tree,caterpillar",
@@ -68,10 +68,6 @@ func run() error {
 		localSolver = flag.String("local-solver", "",
 			"Phase-II leader solver ("+strings.Join(harness.LocalSolverNames(), ", ")+
 				"); empty = the kernel-exact default")
-		gather = flag.String("gather", "",
-			"comma-separated Phase-II gather modes at power ≠ 2 ("+strings.Join(harness.GatherNames(), ", ")+
-				"); empty = sparsified. Listing both runs each cell under both modes on identical "+
-				"seeds — a live differential of the sparsifier")
 		workers = flag.Int("workers", 0, "worker pool size (0 = GOMAXPROCS)")
 		shards  = flag.Int("shards", 0,
 			"split each distributed job's round sweep across this many workers "+
@@ -99,13 +95,6 @@ func run() error {
 		*epsilons, *powers, *localSolver, *trials, *rootSeed, *oracleN)
 	if err != nil {
 		return err
-	}
-	if *gather != "" {
-		// The flag overrides the spec's gather axis outright.
-		spec.Gathers = splitCSV(*gather)
-		if err := spec.Validate(); err != nil {
-			return err
-		}
 	}
 	if *shards != 0 {
 		// The flag pins a single count, overriding both the spec's scalar
@@ -257,10 +246,6 @@ func printRegistry(w io.Writer) {
 	fmt.Fprintln(w, "\nlocal solvers (Phase-II leader, spec localSolver / -local-solver):")
 	for _, s := range harness.LocalSolverInfos() {
 		fmt.Fprintf(w, "  %-13s %s\n", s.Name, s.Description)
-	}
-	fmt.Fprintln(w, "\ngather modes (generalized Phase II at power != 2, spec gathers / -gather):")
-	for _, g := range harness.GatherInfos() {
-		fmt.Fprintf(w, "  %-13s %s\n", g.Name, g.Description)
 	}
 }
 

@@ -21,10 +21,9 @@ import (
 // The constant 8 is the largest bandwidth factor any algorithm requests
 // (Theorem 28's estimator payloads); everything else runs at the default 4.
 //
-// The gather axis runs every r ≠ 2 cell under both the sparsified
-// certificate gather and the legacy near flood, so the sparsified
-// primitives (StepSparsify labels, the routed candidate-min relays) prove
-// their O(log n)-bit claim at r ∈ {1, 3, 4} alongside the legacy baseline.
+// The r ≠ 2 cells run the sparsified certificate gather, so its primitives
+// (StepSparsify labels, the routed candidate-min relays) prove their
+// O(log n)-bit claim at r ∈ {1, 3, 4}.
 func TestRegistryBandwidthStaysLogarithmic(t *testing.T) {
 	const maxFactor = 8
 	var distributed []string
@@ -46,7 +45,6 @@ func TestRegistryBandwidthStaysLogarithmic(t *testing.T) {
 		Powers:     []int{1, 2, 3, 4},
 		Algorithms: distributed,
 		Epsilons:   []float64{0.5},
-		Gathers:    []string{"sparsified", "legacy"},
 		OracleN:    0,
 	}
 	rep, err := harness.Run(t.Context(), spec, harness.RunOptions{})
@@ -56,7 +54,7 @@ func TestRegistryBandwidthStaysLogarithmic(t *testing.T) {
 	if rep.Failed != 0 {
 		for _, r := range rep.Results {
 			if r.Error != "" {
-				t.Errorf("%s n=%d gather=%s: %s", r.Algorithm, r.N, r.Gather, r.Error)
+				t.Errorf("%s n=%d r=%d: %s", r.Algorithm, r.N, r.Power, r.Error)
 			}
 		}
 		t.Fatalf("%d jobs failed", rep.Failed)
@@ -66,21 +64,21 @@ func TestRegistryBandwidthStaysLogarithmic(t *testing.T) {
 		seenPowers[r.Power] = true
 		idw := congest.IDBits(r.N)
 		if r.Bandwidth > maxFactor*idw {
-			t.Errorf("%s n=%d r=%d gather=%s: budget %d bits exceeds %d·⌈log₂ n⌉ = %d",
-				r.Algorithm, r.N, r.Power, r.Gather, r.Bandwidth, maxFactor, maxFactor*idw)
+			t.Errorf("%s n=%d r=%d: budget %d bits exceeds %d·⌈log₂ n⌉ = %d",
+				r.Algorithm, r.N, r.Power, r.Bandwidth, maxFactor, maxFactor*idw)
 		}
 		if !r.Verified {
-			t.Errorf("%s n=%d r=%d gather=%s: solution failed feasibility", r.Algorithm, r.N, r.Power, r.Gather)
+			t.Errorf("%s n=%d r=%d: solution failed feasibility", r.Algorithm, r.N, r.Power)
 		}
 		// Internal consistency of the accounting: no round (and no total)
 		// can exceed what its message count allows under the budget.
 		if r.TotalBits > r.Messages*int64(r.Bandwidth) {
-			t.Errorf("%s n=%d r=%d gather=%s: totalBits %d > messages %d × budget %d",
-				r.Algorithm, r.N, r.Power, r.Gather, r.TotalBits, r.Messages, r.Bandwidth)
+			t.Errorf("%s n=%d r=%d: totalBits %d > messages %d × budget %d",
+				r.Algorithm, r.N, r.Power, r.TotalBits, r.Messages, r.Bandwidth)
 		}
 		if r.MaxRoundBits > r.TotalBits {
-			t.Errorf("%s n=%d r=%d gather=%s: maxRoundBits %d > totalBits %d",
-				r.Algorithm, r.N, r.Power, r.Gather, r.MaxRoundBits, r.TotalBits)
+			t.Errorf("%s n=%d r=%d: maxRoundBits %d > totalBits %d",
+				r.Algorithm, r.N, r.Power, r.MaxRoundBits, r.TotalBits)
 		}
 	}
 	for _, r := range []int{1, 2, 3, 4} {

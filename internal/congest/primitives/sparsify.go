@@ -12,8 +12,8 @@ import (
 // arXiv 2305.04358): instead of every near-U node shipping all of its
 // incident edges to the leader, each node deterministically selects a
 // certificate subset of them that still preserves every ≤ r-hop U-to-U
-// path. The selection wants exact U-distances (the one-bit StepNearFlood
-// only yields membership in the grown set), so the primitive layers
+// path. The selection wants exact U-distances, not just membership in
+// the near set, so the primitive layers
 // dist(·, U) truncated at ⌊r/2⌋ — the deepest distance any endpoint of a
 // useful edge can have (on a shortest U-to-U path of length k ≤ r, the node
 // at position i sits at distance ≤ min(i, k−i) ≤ ⌊r/2⌋ from U).
@@ -41,10 +41,8 @@ import (
 //
 // Every announcement is one ⌈log₂(⌊r/2⌋+1)⌉-bit label per link, far inside
 // the O(log n) budget, and the whole exchange takes exactly
-// SparsifyRounds(r) communication rounds on any graph — the bounded-round
-// guarantee the O(m)-round legacy gather lacked, and (at r ∈ {3, 4})
-// cheaper than the legacy gather's edge stream by the margin
-// BENCH_sparsify.json prices.
+// SparsifyRounds(r) communication rounds on any graph, a bound that does
+// not depend on the graph's size.
 //
 // Certificate rule. A near node x (label dx ≤ d, d = ⌊(r-1)/2⌋ the
 // reporting radius) keeps its edge {x, y} iff
@@ -76,7 +74,9 @@ import (
 
 // StepSparsify computes the truncated U-distance layering and the resulting
 // certificate edge set at this node. Done on slice SparsifyRounds(r); the
-// final slice consumes the deepest labels and queues nothing.
+// final slice consumes the deepest labels and queues nothing. The stage
+// runs inside the "phase2-sparsify" span: it opens on slice 0 and closes on
+// the final slice, so the span covers exactly SparsifyRounds(r) rounds.
 type StepSparsify struct {
 	r, d     int
 	maxLabel int // ⌊r/2⌋: the deepest layer of the truncation
@@ -103,10 +103,18 @@ type StepSparsify struct {
 // labels 0 and 1 are seeded for free and U-neighbor entries pre-fill the
 // label table — layer 0 never broadcasts at all.
 func NewStepSparsify(r int, inU bool, uNbrs []int) *StepSparsify {
+	return new(StepSparsify).Reset(r, inU, uNbrs)
+}
+
+// Reset restarts the flood in place, exactly as NewStepSparsify would,
+// reusing its label table.
+func (s *StepSparsify) Reset(r int, inU bool, uNbrs []int) *StepSparsify {
 	if r < 1 {
 		panicCollective(fmt.Sprintf("primitives: NewStepSparsify with power %d < 1", r))
 	}
-	s := &StepSparsify{r: r, d: (r - 1) / 2, maxLabel: r / 2, rounds: SparsifyRounds(r), label: -1}
+	nbrLabel := s.nbrLabel
+	clear(nbrLabel)
+	*s = StepSparsify{r: r, d: (r - 1) / 2, maxLabel: r / 2, rounds: SparsifyRounds(r), label: -1, nbrLabel: nbrLabel}
 	if r == 3 || r >= 5 {
 		// r ≤ 2 resolves from the seeded 1-ball; r = 4 blind-keeps instead
 		// of classifying (see the schedule table above). Everything else
@@ -123,11 +131,11 @@ func NewStepSparsify(r int, inU bool, uNbrs []int) *StepSparsify {
 	case len(uNbrs) > 0:
 		s.label = 1
 	}
-	if len(uNbrs) > 0 {
+	if len(uNbrs) > 0 && s.nbrLabel == nil {
 		s.nbrLabel = make(map[int]int, len(uNbrs))
-		for _, u := range uNbrs {
-			s.nbrLabel[u] = 0
-		}
+	}
+	for _, u := range uNbrs {
+		s.nbrLabel[u] = 0
 	}
 	return s
 }
@@ -136,9 +144,7 @@ func NewStepSparsify(r int, inU bool, uNbrs []int) *StepSparsify {
 // StepSparsify spends at power r: one broadcast round per announcing label
 // layer (none announce at r ∈ {1, 2, 4}, layers 1..⌊r/2⌋ otherwise),
 // floored at one round so the stage's begin and end marks always fall in
-// distinct steps.
-// The Phase-II gather's begin and end marks straddle exactly this many
-// rounds; tests assert against it.
+// distinct steps. The phase2-sparsify span covers exactly this many rounds.
 func SparsifyRounds(r int) int {
 	if r <= 4 {
 		return 1
@@ -148,7 +154,9 @@ func SparsifyRounds(r int) int {
 
 // Step advances one round-slice.
 func (s *StepSparsify) Step(nd *congest.Node) bool {
-	if s.slice >= 1 {
+	if s.slice == 0 {
+		nd.SpanBegin("phase2-sparsify", 0)
+	} else {
 		adopted := false
 		for _, in := range nd.Recv() {
 			if in.Msg.Kind() != congest.KindInt {
@@ -177,6 +185,7 @@ func (s *StepSparsify) Step(nd *congest.Node) bool {
 		}
 	}
 	if s.slice == s.rounds {
+		nd.SpanEnd("phase2-sparsify", 0)
 		return true
 	}
 	if s.label == s.slice+1 && s.label <= s.announce {
@@ -209,7 +218,7 @@ func (s *StepSparsify) Step(nd *congest.Node) bool {
 }
 
 // Near reports whether this node is a designated reporter (dist(·, U) ≤ d);
-// valid once done. It matches the set the legacy one-bit flood grows.
+// valid once done.
 func (s *StepSparsify) Near() bool { return s.label >= 0 && s.label <= s.d }
 
 // Label returns dist(this, U) truncated at ⌊r/2⌋, or -1 when the node is

@@ -850,46 +850,6 @@ func (s *StepStatusExchange) Step(nd *congest.Node) bool {
 // On returns the neighbors that reported 1, in id order; valid once done.
 func (s *StepStatusExchange) On() []int { return s.on }
 
-// StepNearFlood grows a vertex set by a fixed number of G-hops: every slice,
-// marked nodes broadcast a one-bit flag and receivers become marked, so after
-// hops slices a node is marked iff it started marked or is within hops
-// G-hops of a marked node. The Gʳ Phase II uses it to find the nodes within
-// ⌊(r-1)/2⌋ hops of U, whose incident edges suffice to reconstruct Gʳ[U] at
-// the leader. Done on slice hops (hops = 0 is a no-op finishing immediately,
-// consuming and sending nothing).
-type StepNearFlood struct {
-	near bool
-	hops int
-	r    int
-}
-
-// NewStepNearFlood starts the flood; near marks this node as initially in
-// the set.
-func NewStepNearFlood(near bool, hops int) *StepNearFlood {
-	if hops < 0 {
-		panicCollective(fmt.Sprintf("primitives: NewStepNearFlood with hops %d < 0", hops))
-	}
-	return &StepNearFlood{near: near, hops: hops}
-}
-
-// Step advances one round-slice.
-func (s *StepNearFlood) Step(nd *congest.Node) bool {
-	if s.r >= 1 && len(nd.Recv()) > 0 {
-		s.near = true
-	}
-	if s.r == s.hops {
-		return true
-	}
-	if s.near {
-		nd.BroadcastNeighbors(congest.Flag())
-	}
-	s.r++
-	return false
-}
-
-// Near reports whether this node ended up in the grown set; valid once done.
-func (s *StepNearFlood) Near() bool { return s.near }
-
 // VotingConfig parameterizes StepVotingPhase.
 type VotingConfig struct {
 	// Tau is the candidacy threshold: a node is a candidate while its live

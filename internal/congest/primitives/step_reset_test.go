@@ -307,6 +307,28 @@ var resetCases = []resetCase{
 		out: func(s stepper) string { return fmt.Sprint(s.(*StepCandidateMinFlood).Min()) },
 	},
 	{
+		name: "sparsify",
+		start: func(nd *congest.Node, _ *resetEnv, k int, _, held stepper) stepper {
+			r := 3 + k
+			inU := func(v int) bool { return (v+k)%3 == 0 }
+			var uNbrs []int
+			for _, v := range nd.Neighbors() {
+				if inU(v) {
+					uNbrs = append(uNbrs, v)
+				}
+			}
+			if held == nil {
+				return NewStepSparsify(r, inU(nd.ID()), uNbrs)
+			}
+			held.(*StepSparsify).Reset(r, inU(nd.ID()), uNbrs)
+			return held
+		},
+		out: func(s stepper) string {
+			sp := s.(*StepSparsify)
+			return fmt.Sprint(sp.Near(), sp.Label())
+		},
+	},
+	{
 		name: "weighted-local-ratio",
 		start: func(nd *congest.Node, _ *resetEnv, k int, _, held stepper) stepper {
 			iters := 1 + k%3

@@ -20,13 +20,14 @@ type rhopOut struct {
 	MinFlood int64  // r chained StepMinFloods (-1 = saw nothing)
 	RankBest string // r chained StepRankFloods: "rank/id"
 	CandNbrs string // first rank-flood senders (the candidate neighbors)
-	Near     bool   // StepNearFlood grown r hops from the seed set
+	Near     bool   // StepSparsify: within ⌊(r-1)/2⌋ hops of the seed set U
 	CandMin  int64  // depth-r StepCandidateMinFlood at candidates (-1 else)
 }
 
 // rhopInputs derives every node's deterministic test inputs from its id:
-// which nodes hold min-flood samples, which are rank candidates, which seed
-// the near flood, and who votes for whom in the candidate flood.
+// which nodes hold min-flood samples, which are rank candidates, which form
+// the sparsifier's seed set U, and who votes for whom in the candidate
+// flood.
 type rhopInputs struct {
 	r int
 }
@@ -85,7 +86,7 @@ type rhopProgram struct {
 	candNbrs  []int
 	routes    []CandRoute
 	prevBest  int
-	near      *StepNearFlood
+	sparsify  StepSparsify
 	votes     *StepCandidateMinFlood
 	out       rhopOut
 }
@@ -142,13 +143,19 @@ func (p *rhopProgram) Step(nd *congest.Node) (bool, error) {
 			r, id := p.rank.Best()
 			p.out.RankBest = fmt.Sprintf("%d/%d", r, id)
 			p.out.CandNbrs = fmt.Sprint(p.candNbrs)
-			p.near = NewStepNearFlood(p.in.nearSeed(nd.ID()), p.in.r)
+			var uNbrs []int
+			for _, v := range nd.Neighbors() {
+				if p.in.nearSeed(v) {
+					uNbrs = append(uNbrs, v)
+				}
+			}
+			p.sparsify.Reset(p.in.r, p.in.nearSeed(nd.ID()), uNbrs)
 			p.stage = 3
 		case 3:
-			if !p.near.Step(nd) {
+			if !p.sparsify.Step(nd) {
 				return false, nil
 			}
-			p.out.Near = p.near.Near()
+			p.out.Near = p.sparsify.Near()
 			own := int64(-1)
 			if p.voteFor >= 0 {
 				own = p.in.voteSample(nd.ID())
@@ -198,7 +205,7 @@ func rhopReference(g *graph.Graph, in rhopInputs, voteFor []int) []rhopOut {
 					bestRank, bestID = r, int64(u)
 				}
 			}
-			if in.nearSeed(u) {
+			if in.nearSeed(u) && dist[u] <= (in.r-1)/2 {
 				o.Near = true
 			}
 		}

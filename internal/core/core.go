@@ -54,9 +54,9 @@ import (
 // Corollary 17 swaps in the centralized 5/3-approximation for polynomial
 // local work. The default is the kernelize-then-solve ladder of
 // internal/kernel — reduction rules, then bounded branch and bound, then a
-// polynomial local-ratio fallback — which matches the legacy raw exact
-// solver bit for bit on small instances (its direct path) and cracks the
-// large sparse leader instances the raw solver could not.
+// polynomial local-ratio fallback — which runs the raw exact solver
+// (exact.VertexCover) unchanged on small instances (its direct path) and
+// cracks the large sparse leader instances the raw solver could not.
 type LocalSolver func(*graph.Graph) *bitset.Set
 
 // Options tune a distributed run. The zero value is ready to use.
@@ -87,12 +87,6 @@ type Options struct {
 	Power int
 	// LocalSolver overrides the leader's Phase-II solver (default exact).
 	LocalSolver LocalSolver
-	// Gather selects the generalized Phase-II gather mode at power ≠ 2:
-	// GatherSparsified (zero value, the default) ships each near node's
-	// certificate edge subset after the bounded-round StepSparsify labeling;
-	// GatherLegacy pins the PR-4 all-incident-edges wire format for
-	// differential runs. The paper's r = 2 path ignores the knob.
-	Gather GatherMode
 	// CutA, when non-nil, makes the run report bits crossing the given
 	// vertex cut (Section 5.1 instrumentation).
 	CutA *bitset.Set
@@ -188,13 +182,6 @@ func (o *Options) power() (int, error) {
 		return 0, fmt.Errorf("core: power must be ≥ 1, got %d", o.Power)
 	}
 	return o.Power, nil
-}
-
-func (o *Options) gatherMode() GatherMode {
-	if o == nil {
-		return GatherSparsified
-	}
-	return o.Gather
 }
 
 func (o *Options) cutA() *bitset.Set {

@@ -70,7 +70,7 @@ func ApproxMVCCongestRandomized(g *graph.Graph, eps float64, opts *Options) (*Re
 	}
 	res, err := congest.RunProgram(cfg, func(nd *congest.Node) congest.StepProgram[nodeOut] {
 		return &mvcRandCongestProgram{
-			n: n, power: r, idw: congest.IDBits(n), solver: solver, gmode: opts.gatherMode(),
+			n: n, power: r, idw: congest.IDBits(n), solver: solver,
 			voting: primitives.NewStepVotingPhase(primitives.VotingConfig{
 				Tau:         tau,
 				RandomIters: randomIters,
@@ -91,14 +91,13 @@ func ApproxMVCCongestRandomized(g *graph.Graph, eps float64, opts *Options) (*Re
 type mvcRandCongestProgram struct {
 	n, power, idw int
 	solver        LocalSolver
-	gmode         GatherMode
 
-	voting  *primitives.StepVotingPhase
-	status  *primitives.StepStatusExchange
-	gather  *powerGather
-	pipe    primitives.StepLeaderPipeline
-	stage   int
-	inRStar bool
+	voting   *primitives.StepVotingPhase
+	status   *primitives.StepStatusExchange
+	sparsify primitives.StepSparsify
+	pipe     primitives.StepLeaderPipeline
+	stage    int
+	inRStar  bool
 }
 
 func (p *mvcRandCongestProgram) Step(nd *congest.Node) (bool, error) {
@@ -122,13 +121,13 @@ func (p *mvcRandCongestProgram) Step(nd *congest.Node) (bool, error) {
 				p.stage = 3
 				continue
 			}
-			p.gather = newPowerGather(p.power, p.voting.InR(), p.status.On(), p.gmode)
+			p.sparsify.Reset(p.power, p.voting.InR(), p.status.On())
 			p.stage = 2
 		case 2:
-			if !p.gather.Step(nd) {
+			if !p.sparsify.Step(nd) {
 				return false, nil
 			}
-			items := powerEdgeItems(nd, p.gather, p.voting.InR())
+			items := powerEdgeItems(nd, &p.sparsify, p.voting.InR())
 			p.pipe.Reset(nd, items, func(gathered []congest.Message) []congest.Message {
 				return coverIDItems(leaderSolvePowerRemainder(p.n, p.power, gathered, p.solver), p.idw)
 			})

@@ -107,7 +107,7 @@ func ApproxMWVCCongest(g *graph.Graph, eps float64, opts *Options) (*Result, err
 	}
 	res, err := congest.RunProgram(cfg, func(nd *congest.Node) congest.StepProgram[nodeOut] {
 		return &mwvcCongestProgram{
-			n: n, power: r, idw: idw, maxWBits: maxWBits, solver: solver, gmode: opts.gatherMode(),
+			n: n, power: r, idw: idw, maxWBits: maxWBits, solver: solver,
 			phase1: *primitives.NewStepWeightedLocalRatio(nd, iterations, maxWBits, selector),
 		}
 	})
@@ -172,13 +172,12 @@ func ripeSelector(ratio float64) primitives.PayeeSelector {
 type mwvcCongestProgram struct {
 	n, power, idw, maxWBits int
 	solver                  LocalSolver
-	gmode                   GatherMode
 
-	phase1  primitives.StepWeightedLocalRatio
-	gather  *powerGather
-	pipe    primitives.StepLeaderPipeline
-	stage   int
-	inRStar bool
+	phase1   primitives.StepWeightedLocalRatio
+	sparsify primitives.StepSparsify
+	pipe     primitives.StepLeaderPipeline
+	stage    int
+	inRStar  bool
 }
 
 // weightedItems builds this node's Phase-II contribution: edge reports for
@@ -211,16 +210,16 @@ func (p *mwvcCongestProgram) Step(nd *congest.Node) (bool, error) {
 				p.stage = 2
 				continue
 			}
-			p.gather = newPowerGather(p.power, p.phase1.InR(), p.phase1.UNbrs(), p.gmode)
+			p.sparsify.Reset(p.power, p.phase1.InR(), p.phase1.UNbrs())
 			p.stage = 1
 		case 1:
-			if !p.gather.Step(nd) {
+			if !p.sparsify.Step(nd) {
 				return false, nil
 			}
-			// Near nodes report their gather-selected incident edges (relay
+			// Near nodes report their certificate edges (relay
 			// paths of Gʳ[U] may route outside U); membership travels on
 			// weight reports.
-			items := p.weightedItems(nd, p.gather.EdgeNbrs(nd))
+			items := p.weightedItems(nd, p.sparsify.Certificate(nd))
 			p.pipe.Reset(nd, items, func(gathered []congest.Message) []congest.Message {
 				return coverIDItems(leaderSolveWeightedPowerRemainder(p.n, p.power, gathered, p.solver), p.idw)
 			})

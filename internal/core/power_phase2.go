@@ -17,140 +17,35 @@ import (
 // vertices far from U, but every edge of such a path has an endpoint within
 // d = ⌊(r-1)/2⌋ hops of U. The generalized gather therefore
 //
-//  1. labels the near-U region — by default with the layered
-//     StepSparsify flood (truncated U-distance layers in exactly
-//     primitives.SparsifyRounds(r) communication rounds; silent at
-//     r ≤ 4 where the seeded 1-ball already resolves the
-//     certificates), or under GatherLegacy with the one-bit
-//     StepNearFlood (membership only, max(0, d-1) slices),
-//  2. has every near node report incident G-edges — only its certificate
-//     subset under the sparsified default (each edge that can lie on a
-//     ≤ r-hop U-to-U path, shipped once by a designated endpoint; see
-//     primitives/sparsify.go), or all of them under GatherLegacy — and
+//  1. labels the near-U region with the layered StepSparsify flood
+//     (truncated U-distance layers in exactly primitives.SparsifyRounds(r)
+//     communication rounds; silent at r ≤ 4 where the seeded 1-ball
+//     already resolves the certificates),
+//  2. has every near node report its certificate subset of incident
+//     G-edges (each edge that can lie on a ≤ r-hop U-to-U path, shipped
+//     once by a designated endpoint; see primitives/sparsify.go), and
 //     every U-member a self-pair marking membership, and
 //  3. lets the leader rebuild the subgraph, take its r-th power, and induce
-//     on U — which equals Gʳ[U] exactly under either mode, because the
-//     reported edges contain a witness for every ≤ r U-to-U path and
-//     nothing that is not a real G-edge.
+//     on U — which equals Gʳ[U] exactly, because the reported edges contain
+//     a witness for every ≤ r U-to-U path and nothing that is not a real
+//     G-edge.
 //
-// The |F| = O(n/ε) bound of Lemma 2 is G²-specific; the legacy gather ships
-// O(m) items in the worst case. The sparsified certificate stream is
-// duplicate-free and drops every edge no ≤ r-hop U-to-U path can use, which
-// is what makes the r ∈ {3,4} sweeps of specs/sparsify-sweep.json tractable
-// (BENCH_sparsify.json prices both modes). Correctness and the (1+ε)
-// charging argument are power-independent: Phase I only ever commits 1-hop
-// neighborhoods, which are cliques of every Gʳ with r ≥ 2.
+// The |F| = O(n/ε) bound of Lemma 2 is G²-specific. The certificate stream
+// is duplicate-free and drops every edge no ≤ r-hop U-to-U path can use,
+// which is what makes the r ∈ {3,4} sweeps of specs/sparsify-sweep.json
+// tractable. Correctness and the (1+ε) charging argument are
+// power-independent: Phase I only ever commits 1-hop neighborhoods, which
+// are cliques of every Gʳ with r ≥ 2.
 
-// GatherMode selects how the generalized Phase II (power ≠ 2) collects the
-// near-U subgraph; the paper's r = 2 F-edge path is unaffected by it.
-type GatherMode int
-
-const (
-	// GatherSparsified is the default: the StepSparsify labeled flood plus
-	// per-node certificate edge selection — bounded label rounds, each
-	// surviving edge shipped exactly once.
-	GatherSparsified GatherMode = iota
-	// GatherLegacy pins the PR-4 wire format — one-bit near flood, every
-	// near node reporting all incident edges — for differential runs
-	// (harness jobs with gather "legacy" replay the identical instance).
-	GatherLegacy
-)
-
-// nearRadius returns d = ⌊(r-1)/2⌋, the distance from U within which a node
-// must report its edges for the leader to reconstruct Gʳ[U].
-func nearRadius(r int) int { return (r - 1) / 2 }
-
-// powerGather is the near-U labeling stage of the generalized Phase II.
-// After the final U-status exchange every node knows whether it is in U and
-// which neighbors are, so distance ≤ 1 is seeded for free; the flood grows
-// (legacy) or layers (sparsified) the rest.
-type powerGather struct {
-	mode    GatherMode
-	flood   *primitives.StepNearFlood // legacy
-	sp      *primitives.StepSparsify  // sparsified
-	started bool
-}
-
-// newPowerGather starts the near-U stage at this node; inU and uNbrs come
-// from Phase I's final status exchange.
-func newPowerGather(r int, inU bool, uNbrs []int, mode GatherMode) *powerGather {
-	if mode == GatherSparsified {
-		return &powerGather{mode: mode, sp: primitives.NewStepSparsify(r, inU, uNbrs)}
-	}
-	d := nearRadius(r)
-	start := inU
-	hops := 0
-	if d >= 1 {
-		start = inU || len(uNbrs) > 0
-		hops = d - 1
-	}
-	return &powerGather{mode: mode, flood: primitives.NewStepNearFlood(start, hops)}
-}
-
-// Step advances one round-slice; done when the near region is labeled.
-func (pg *powerGather) Step(nd *congest.Node) bool {
-	first := !pg.started
-	pg.started = true
-	var done bool
-	if pg.sp != nil {
-		done = pg.sp.Step(nd)
-		// The sparsified stage spends SparsifyRounds(r)+1 ≥ 2 handler
-		// activations at every r, so begin and end always land in distinct
-		// activations and the span covers exactly SparsifyRounds(r) rounds.
-		if first {
-			nd.SpanBegin("phase2-sparsify", 0)
-		}
-		if done {
-			nd.SpanEnd("phase2-sparsify", 0)
-		}
-		return done
-	}
-	done = pg.flood.Step(nd)
-	// The span is emitted only when the stage actually spends rounds. A
-	// zero-hop flood (r ≤ 2) would begin and end within one step and spend
-	// no rounds, so the degenerate case emits nothing at all (the span
-	// summaries pinned by the golden fixtures rely on it).
-	if first && !done {
-		nd.SpanBegin("phase2-near", 0)
-	}
-	if !first && done {
-		nd.SpanEnd("phase2-near", 0)
-	}
-	return done
-}
-
-// Near reports whether this node must contribute edges; valid once done.
-// Both modes agree on the set (distance ≤ d from U).
-func (pg *powerGather) Near() bool {
-	if pg.sp != nil {
-		return pg.sp.Near()
-	}
-	return pg.flood.Near()
-}
-
-// EdgeNbrs returns the neighbors whose edges this node reports: the
-// deterministic certificate subset under the sparsified default, every
-// neighbor under GatherLegacy (nil when the node is not near). Valid once
-// done.
-func (pg *powerGather) EdgeNbrs(nd *congest.Node) []int {
-	if pg.sp != nil {
-		return pg.sp.Certificate(nd)
-	}
-	if !pg.flood.Near() {
-		return nil
-	}
-	return nd.Neighbors()
-}
-
-// powerEdgeItems encodes a node's generalized Phase-II contribution: near
-// nodes report their gather-selected incident G-edges as (id, u) pairs, and
-// U-members add an (id, id) self-pair marking membership (edges alone must
-// not imply membership — a relay's edges name vertices outside U). Under
-// GatherLegacy duplicate reports from two near endpoints are deduped at the
-// leader; the sparsified certificate ships almost every edge once (only the
-// r = 4 blind keep can name a shell-internal edge from both ends).
-func powerEdgeItems(nd *congest.Node, pg *powerGather, inU bool) []congest.Message {
-	nbrs := pg.EdgeNbrs(nd)
+// powerEdgeItems encodes a node's generalized Phase-II contribution once
+// its StepSparsify stage is done: near nodes report their certificate
+// G-edges as (id, u) pairs, and U-members add an (id, id) self-pair marking
+// membership (edges alone must not imply membership — a relay's edges name
+// vertices outside U). The certificate ships almost every edge once; only
+// the r = 4 blind keep can name a shell-internal edge from both ends, and
+// the leader's rebuild dedups it.
+func powerEdgeItems(nd *congest.Node, sp *primitives.StepSparsify, inU bool) []congest.Message {
+	nbrs := sp.Certificate(nd)
 	if len(nbrs) == 0 && !inU {
 		return nil
 	}

@@ -39,7 +39,7 @@ func BenchmarkStepVsCoroutine(b *testing.B) {
 	// sparsified gather at r=3.
 	sweepG := graph.ConnectedGNP(1000, 8.0/1000, rng)
 	sweepGW := graph.WithRandomWeights(sweepG, 2, rng)
-	sweepR3 := &Options{Seed: 1, Power: 3, Gather: GatherSparsified}
+	sweepR3 := &Options{Seed: 1, Power: 3}
 
 	cases := []struct {
 		name      string

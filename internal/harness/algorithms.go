@@ -116,10 +116,6 @@ func distOpts(ctx context.Context, job Job, tr obs.Tracer) (*core.Options, error
 	if err != nil {
 		return nil, err
 	}
-	gather, err := parseGather(job.Gather)
-	if err != nil {
-		return nil, err
-	}
 	return &core.Options{
 		Ctx:             ctx,
 		Seed:            job.Seed,
@@ -128,7 +124,6 @@ func distOpts(ctx context.Context, job Job, tr obs.Tracer) (*core.Options, error
 		MaxRounds:       job.MaxRounds,
 		Power:           job.Power,
 		LocalSolver:     solver,
-		Gather:          gather,
 		Tracer:          tr,
 	}, nil
 }
@@ -138,16 +133,15 @@ func distOpts(ctx context.Context, job Job, tr obs.Tracer) (*core.Options, error
 // algorithms run Phase II through StepLeaderPipeline (BFS tree + convergecast
 // over G); the clique algorithms gather at the leader in O(1) hops and have
 // no tree.
-// "phase2-sparsify" is the default near-U certificate labeling of the
-// generalized Phase II (power ≠ 2); "phase2-near" is its GatherLegacy
-// counterpart, the PR-4 one-bit near flood.
+// "phase2-sparsify" is the near-U certificate labeling of the generalized
+// Phase II (power ≠ 2).
 var (
 	pipelineSpans = []string{
-		"phase1", "phase1-iter", "phase2-sparsify", "phase2-near",
+		"phase1", "phase1-iter", "phase2-sparsify",
 		"leader-elect", "bfs-tree", "phase2-gather", "leader-solve", "phase2-flood",
 	}
 	cliqueSpans = []string{
-		"phase1", "phase1-iter", "phase2-sparsify", "phase2-near",
+		"phase1", "phase1-iter", "phase2-sparsify",
 		"leader-elect", "phase2-gather", "leader-solve", "phase2-flood",
 	}
 	mdsSpans = []string{"mds-phase", "mds-estimate", "mds-votes"}
@@ -165,7 +159,6 @@ type LocalSolverInfo struct {
 func LocalSolverInfos() []LocalSolverInfo {
 	return []LocalSolverInfo{
 		{"kernel-exact", "kernelize-then-solve ladder (default): reduction rules + bounded branch and bound + local-ratio fallback"},
-		{"exact", "legacy raw branch and bound (exponential worst case; the pre-kernel default)"},
 		{"five-thirds", "Corollary 17's polynomial 5/3-approximation (r = 2 guarantee)"},
 	}
 }
@@ -181,63 +174,19 @@ func LocalSolverNames() []string {
 }
 
 // parseLocalSolver maps a job/spec solver name to a core.LocalSolver; nil
-// means "the algorithm's default", which since the kernelize-then-solve
-// subsystem landed is exactly "kernel-exact" (reduction rules + bounded
-// branch and bound + polynomial fallback). "exact" pins the legacy raw
-// branch and bound — the pre-kernel default, kept for regression baselines
-// and the leader-ceiling stress test.
+// means "the algorithm's default", the "kernel-exact" ladder (reduction
+// rules + bounded branch and bound + polynomial fallback). Its direct rung
+// already solves small instances with the raw branch and bound.
 func parseLocalSolver(name string) (core.LocalSolver, error) {
 	switch name {
 	case "", "kernel-exact":
 		return nil, nil
-	case "exact":
-		return exact.VertexCover, nil
 	case "five-thirds":
 		return func(h *graph.Graph) *bitset.Set {
 			return centralized.FiveThirdsOnGraph(h).Cover
 		}, nil
 	default:
 		return nil, fmt.Errorf("harness: unknown local solver %q (want one of %v)", name, LocalSolverNames())
-	}
-}
-
-// GatherInfo describes one value of the spec/job gather knob for listings
-// (powerbench -list) and flag help.
-type GatherInfo struct {
-	Name, Description string
-}
-
-// GatherInfos lists the gather knob values with their one-line summaries, in
-// display order. parseGather and this list must stay in step
-// (TestGatherRegistryInSync enforces it).
-func GatherInfos() []GatherInfo {
-	return []GatherInfo{
-		{"sparsified", "bounded-round StepSparsify certificate gather (default): near nodes ship a deduped edge subset preserving Gʳ[U] exactly"},
-		{"legacy", "PR-4 wire format: one-bit near flood, every near node ships all incident edges (r = 2 always uses the paper's F-edge path)"},
-	}
-}
-
-// GatherNames lists the spec/job gather knob values.
-func GatherNames() []string {
-	infos := GatherInfos()
-	names := make([]string, len(infos))
-	for i, in := range infos {
-		names[i] = in.Name
-	}
-	return names
-}
-
-// parseGather maps a job/spec gather-mode name to a core.GatherMode; the
-// empty name is the sparsified default. r = 2 ignores the knob entirely (the
-// paper's F-edge wire format is the only r = 2 path).
-func parseGather(name string) (core.GatherMode, error) {
-	switch name {
-	case "", "sparsified":
-		return core.GatherSparsified, nil
-	case "legacy":
-		return core.GatherLegacy, nil
-	default:
-		return 0, fmt.Errorf("harness: unknown gather mode %q (want one of %v)", name, GatherNames())
 	}
 }
 

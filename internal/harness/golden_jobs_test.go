@@ -8,15 +8,13 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
-	"slices"
 	"strings"
 	"testing"
 )
 
 // The golden job matrix pins every distributed registry algorithm end to
 // end at the harness level: every supported power r ∈ 1..4, unweighted and
-// weighted connected-gnp at n = 26, and both Phase-II gather modes wherever
-// the generalized gather runs (r ≥ 3). Each record holds the job, the
+// weighted connected-gnp at n = 26. Each record holds the job, the
 // solution's vertex list, and the full serialized JobResult — cost, oracle
 // ratio, phase statistics, simulator Stats, leader path and span summary —
 // so any change to what a seeded run computes or sends surfaces as a diff.
@@ -58,20 +56,14 @@ func goldenJobs() []Job {
 			if !alg.SupportsPower(r) {
 				continue
 			}
-			gathers := []string{""}
-			if r >= 3 && slices.Contains(alg.Spans, "phase2-near") {
-				gathers = append(gathers, "legacy")
-			}
 			for _, gen := range gens {
-				for _, gather := range gathers {
-					j := Job{
-						Index: len(jobs), Generator: gen, N: 26, Power: r,
-						Algorithm: name, Epsilon: eps, OracleN: 26, Gather: gather,
-					}
-					j.Seed = deriveSeed(1, j.cellKey(), 0)
-					j.InstanceSeed = deriveSeed(1, j.instanceKey(), 0)
-					jobs = append(jobs, j)
+				j := Job{
+					Index: len(jobs), Generator: gen, N: 26, Power: r,
+					Algorithm: name, Epsilon: eps, OracleN: 26,
 				}
+				j.Seed = deriveSeed(1, j.cellKey(), 0)
+				j.InstanceSeed = deriveSeed(1, j.instanceKey(), 0)
+				jobs = append(jobs, j)
 			}
 		}
 	}
@@ -85,7 +77,7 @@ func goldenRecordOf(t *testing.T, job Job) goldenJobRecord {
 	t.Helper()
 	res := executeJob(job, nil)
 	if res.Error != "" {
-		t.Fatalf("%s r=%d %s gather=%q: %s", job.Algorithm, job.Power, job.Generator.Key(), job.Gather, res.Error)
+		t.Fatalf("%s r=%d %s: %s", job.Algorithm, job.Power, job.Generator.Key(), res.Error)
 	}
 	g, err := job.Generator.Build(job.N, rand.New(rand.NewSource(job.instanceSeed())))
 	if err != nil {

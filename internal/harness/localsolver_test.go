@@ -27,4 +27,9 @@ func TestLocalSolverRegistryInSync(t *testing.T) {
 	if _, err := parseLocalSolver("no-such-solver"); err == nil {
 		t.Error("unknown solver name must be rejected")
 	}
+	// The raw branch and bound is no longer a local solver: the ladder's
+	// direct rung already runs it on small instances.
+	if _, err := parseLocalSolver("exact"); err == nil {
+		t.Error("the removed \"exact\" local solver must be rejected")
+	}
 }

@@ -18,8 +18,13 @@ import (
 //   - be a feasible cover / dominating set of the materialized Gʳ,
 //   - stay within the algorithm's oracle-checked approximation bound, and
 //   - be identical — solution, rounds, messages, bits — under the
-//     explicit default solver, and (r ≠ 2) in solution under both gather
-//     modes and in everything at any shard count.
+//     explicit default solver and the explicit "sparsified" gather, and
+//     (r ≠ 2) at any shard count, while the removed "legacy" gather is
+//     rejected.
+//
+// The primitive-level reference for the sparsified gather itself (exact
+// Gʳ[U] reconstruction up to r = 6) is primitives'
+// TestSparsifyCertificateRebuildsInducedPower.
 //
 // The r = 2 cells additionally stay bit-identical to the pre-generalization
 // implementation via core's TestGoldenR2Regression; together the two suites
@@ -47,9 +52,8 @@ func powerJobSolver(alg, solver string, gen GeneratorSpec, n, r int, eps float64
 	return j
 }
 
-// powerJobGather is powerJob with an explicit gather knob. Like the
-// solver, the gather mode stays out of seed derivation, so the legacy and
-// sparsified jobs replay the identical instance and Phase-I run.
+// powerJobGather is powerJob with an explicit gather knob, which stays out
+// of seed derivation like the solver.
 func powerJobGather(alg, gather string, gen GeneratorSpec, n, r int, eps float64) Job {
 	j := powerJob(alg, gen, n, r, eps)
 	j.Gather = gather
@@ -135,39 +139,27 @@ func TestCrossPowerDifferentialSuite(t *testing.T) {
 					}
 					res.Elapsed, res.Metrics = 0, nil
 					// Solver differential: the explicit "kernel-exact" knob
-					// must replay the default ("") run identically, and the
-					// pinned legacy "exact" solver must agree on everything
-					// except the leader-solve report (custom solvers have
-					// none) — at this size the ladder's direct path IS the
-					// legacy solver.
+					// must replay the default ("") run identically.
 					ker := executeJob(powerJobSolver(info.Name, "kernel-exact", gen, n, r, jobEps), nil)
 					ker.Elapsed, ker.Metrics = 0, nil
 					if *ker != *res {
 						t.Fatalf("%s: kernel-exact knob diverges from the default:\ndefault:      %+v\nkernel-exact: %+v",
 							cell, *res, *ker)
 					}
-					leg := executeJob(powerJobSolver(info.Name, "exact", gen, n, r, jobEps), nil)
-					leg.Elapsed, leg.Metrics = 0, nil
-					ker.LeaderPath, ker.LeaderKernelN = "", 0
-					if *leg != *ker {
-						t.Fatalf("%s: legacy exact solver diverges from kernel-exact:\nkernel-exact: %+v\nlegacy:       %+v",
-							cell, *ker, *leg)
+					// Gather knob: the explicit "sparsified" value names the
+					// default gather and must replay the run identically
+					// (apart from its echo); the removed "legacy" value must
+					// fail the job.
+					sp := executeJob(powerJobGather(info.Name, "sparsified", gen, n, r, jobEps), nil)
+					sp.Gather, sp.Elapsed, sp.Metrics = "", 0, nil
+					if *sp != *res {
+						t.Fatalf("%s: explicit sparsified gather diverges from the default:\ndefault:    %+v\nsparsified: %+v",
+							cell, *res, *sp)
 					}
-					// Gather differential (r ≠ 2 only; r = 2 has no gather
-					// knob): the pinned legacy wire format replays the
-					// identical instance and Phase-I run, so the solution
-					// must match exactly — only the Phase-II accounting
-					// (rounds/messages/bits and the near-U span) may move.
+					if leg := executeJob(powerJobGather(info.Name, "legacy", gen, n, r, jobEps), nil); !strings.Contains(leg.Error, "gather option was removed") {
+						t.Fatalf("%s: legacy gather not rejected: %+v", cell, *leg)
+					}
 					if r != 2 {
-						leg := executeJob(powerJobGather(info.Name, "legacy", gen, n, r, jobEps), nil)
-						if leg.Error != "" {
-							t.Fatalf("%s: legacy gather: %s", cell, leg.Error)
-						}
-						if leg.Cost != res.Cost || leg.SolutionSize != res.SolutionSize ||
-							leg.Verified != res.Verified || leg.Optimum != res.Optimum {
-							t.Fatalf("%s: legacy gather changes the solution:\nsparsified: %+v\nlegacy:     %+v",
-								cell, *res, *leg)
-						}
 						if info.Problem == ProblemMVC {
 							// Per-r round bound of the sparsified near-U
 							// labeling: exactly SparsifyRounds(r) label
@@ -180,18 +172,6 @@ func TestCrossPowerDifferentialSuite(t *testing.T) {
 							}
 							if want := primitives.SparsifyRounds(r); cnt != 1 || rd != want {
 								t.Fatalf("%s: phase2-sparsify span *%d:%d, want *1:%d", cell, cnt, rd, want)
-							}
-							if _, _, ok := sparsifySpan(leg.Spans); ok {
-								t.Fatalf("%s: legacy gather emitted a phase2-sparsify span: %q", cell, leg.Spans)
-							}
-						} else {
-							// MDS has no power gather: the knob must be
-							// fully inert.
-							leg2 := *leg
-							leg2.Gather, leg2.Elapsed, leg2.Metrics = "", 0, nil
-							if leg2 != *res {
-								t.Fatalf("%s: gather knob perturbed the gather-free MDS run:\ndefault: %+v\nlegacy:  %+v",
-									cell, *res, leg2)
 							}
 						}
 						// Sharding the round sweep must not change any

@@ -34,8 +34,7 @@ type JobResult struct {
 	Epsilon   float64       `json:"epsilon,omitempty"`
 	// Engine echoes Job.Engine ("" or "batch").
 	Engine string `json:"engine,omitempty"`
-	// Gather is the generalized Phase-II gather mode the job ran with
-	// (empty = the sparsified default; see Spec.Gathers).
+	// Gather echoes Job.Gather ("" or "sparsified").
 	Gather string `json:"gather,omitempty"`
 	Trial  int    `json:"trial"`
 	Seed   int64  `json:"seed"`
@@ -78,12 +77,11 @@ type JobResult struct {
 	// centralized baselines.
 	Spans string `json:"spans,omitempty"`
 	// GatherMsgs is the network message count of the Phase-II gather alone:
-	// the traffic inside the phase2-sparsify / phase2-near / phase2-gather
-	// spans (from the engines' round-boundary snapshots, see
-	// obs.Collector.SpanMessages). It isolates the cost the gather axis
-	// varies — Phase I dwarfs it in Messages — and is deterministic per
-	// seed, so it lives in the serialized record. Zero when the algorithm
-	// has no gather stage (MDS, centralized, r = 2's F-edge path).
+	// the traffic inside the phase2-sparsify and phase2-gather spans (see
+	// gatherMsgs). Phase I dwarfs it in Messages, so it is reported on its
+	// own; it is deterministic per seed, so it lives in the serialized
+	// record. Zero when the algorithm has no gather stage (MDS,
+	// centralized).
 	GatherMsgs int64 `json:"gatherMsgs,omitempty"`
 
 	// Error is set when the job failed (including recovered panics, which
@@ -114,12 +112,12 @@ type JobResult struct {
 }
 
 // cellKey groups results into scenario cells for aggregation. Unlike
-// Job.cellKey (the seed-derivation key), it includes the gather mode and
-// the shard count, so a two-gather or multi-shard sweep aggregates each
-// mode's measurements into separate, comparable cells.
+// Job.cellKey (the seed-derivation key), it includes the shard count, so a
+// multi-shard sweep aggregates each count's measurements into separate,
+// comparable cells.
 func (r *JobResult) cellKey() string {
-	return fmt.Sprintf("%s|gm=%s|sh=%d",
-		scenarioKey(r.Generator, r.N, r.Power, r.Algorithm, r.Epsilon), r.Gather, r.Shards)
+	return fmt.Sprintf("%s|sh=%d",
+		scenarioKey(r.Generator, r.N, r.Power, r.Algorithm, r.Epsilon), r.Shards)
 }
 
 // Progress is delivered once per completed job, in emission (job-index)
@@ -459,8 +457,7 @@ func SolveInstance(ctx context.Context, g, power *graph.Graph, job Job, tr obs.T
 		out.Elapsed = time.Since(start)
 		if col, ok := tr.(*obs.Collector); ok && col != nil {
 			out.Spans = col.SpanSummary()
-			spanMsgs := col.SpanMessages()
-			out.GatherMsgs = spanMsgs["phase2-sparsify"] + spanMsgs["phase2-near"] + spanMsgs["phase2-gather"]
+			out.GatherMsgs = gatherMsgs(col)
 		}
 	}()
 	defer func() {
@@ -493,6 +490,14 @@ func newJobResult(job Job) *JobResult {
 	}
 }
 
+// gatherMsgs is the message count inside the Phase-II gather spans: the
+// near-U labeling (phase2-sparsify) plus the item gather (phase2-gather),
+// from the engine's round-boundary snapshots (obs.Collector.SpanMessages).
+func gatherMsgs(col *obs.Collector) int64 {
+	spanMsgs := col.SpanMessages()
+	return spanMsgs["phase2-sparsify"] + spanMsgs["phase2-gather"]
+}
+
 // CheckEngine accepts the values Job.Engine may carry: "" and "batch", both
 // naming the one simulator engine. Any other value is an error.
 func CheckEngine(engine string) error {
@@ -502,12 +507,26 @@ func CheckEngine(engine string) error {
 	return fmt.Errorf("engine %q is not supported: the engine option was removed and every run uses the one simulator engine (omit the field or send \"batch\")", engine)
 }
 
+// CheckGather accepts the values Job.Gather may carry: "" and "sparsified",
+// both naming the one generalized Phase-II gather. Any other value is an
+// error.
+func CheckGather(gather string) error {
+	if gather == "" || gather == "sparsified" {
+		return nil
+	}
+	return fmt.Errorf("gather %q is not supported: the gather option was removed and every run uses the sparsified gather (omit the field or send \"sparsified\")", gather)
+}
+
 // fillSolve is the execution core shared by sweep jobs (jobExec.run) and
 // resident-instance solves (SolveInstance): run the job's algorithm on the
 // given graph and power graph, verify feasibility on Gʳ, record simulator
 // stats, and consult the exact oracle when enabled.
 func fillSolve(ctx context.Context, out *JobResult, g, power *graph.Graph, job Job, tracer obs.Tracer, oracle *oracleCache) {
 	if err := CheckEngine(job.Engine); err != nil {
+		out.Error = err.Error()
+		return
+	}
+	if err := CheckGather(job.Gather); err != nil {
 		out.Error = err.Error()
 		return
 	}
@@ -606,8 +625,7 @@ func (x *jobExec) run(ctx context.Context, job Job) (out *JobResult) {
 	defer func() {
 		out.Elapsed = time.Since(start)
 		out.Spans = col.SpanSummary()
-		spanMsgs := col.SpanMessages()
-		out.GatherMsgs = spanMsgs["phase2-sparsify"] + spanMsgs["phase2-near"] + spanMsgs["phase2-gather"]
+		out.GatherMsgs = gatherMsgs(col)
 		snap := obs.ReadRuntime()
 		out.Metrics = &obs.JobMetrics{
 			QueueNS:    start.Sub(x.runStart).Nanoseconds(),

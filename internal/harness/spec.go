@@ -1,6 +1,6 @@
 // Package harness is the experiment-orchestration subsystem: it expands a
 // declarative scenario matrix (generator × n × algorithm × ε × power r ×
-// shard count × gather mode × trial) into concrete jobs with deterministic per-job seeds,
+// shard count × trial) into concrete jobs with deterministic per-job seeds,
 // shards them across a worker pool with cancellation and per-job panic
 // isolation, and streams results into pluggable sinks (JSONL, CSV) before
 // aggregating approximation-ratio and round/message/bit statistics per
@@ -16,16 +16,12 @@
 // derived from the root seed by hashing the job's scenario coordinates, so
 // adding or removing cells never perturbs the seeds of unrelated cells.
 //
-// Three coordinates are deliberately excluded from seed derivation:
+// Two coordinates are deliberately excluded from seed derivation:
 //
 //   - The shard count (Spec.ShardCounts): the same cell at any shard count
 //     replays the identical run, so a multi-count sweep is a built-in
 //     determinism test of the shard barrier — measurements must match,
 //     only wall clock may differ.
-//   - The gather mode (Spec.Gathers): "legacy" and "sparsified" replay the
-//     identical instance and Phase-I run and must produce the same
-//     solution, so a two-mode sweep is a built-in differential test of the
-//     Phase-II sparsifier — only rounds/messages/bits may differ.
 //   - The graph instance seed (Job.InstanceSeed) depends only on
 //     (generator, n, power, trial), never on algorithm or ε, so every
 //     algorithm in a scenario runs on the identical instance.
@@ -96,24 +92,11 @@ type Spec struct {
 	// barrier. Centralized baselines, which ignore shards, collapse the
 	// axis to its first entry.
 	ShardCounts []int `json:"shardCounts,omitempty"`
-	// Gathers sweeps the generalized Phase-II gather mode as an axis:
-	// "sparsified" (or "", the default) ships each near node's bounded
-	// StepSparsify certificate edges; "legacy" pins the PR-4 wire format
-	// (one-bit near flood, all incident edges). Like the shard count the
-	// axis never enters seed derivation — both modes replay the identical
-	// instance and Phase-I run and must produce the same solution, which
-	// makes a two-mode sweep a live differential test of the sparsifier —
-	// but it splits aggregation cells, so BENCH summaries compare the modes'
-	// message counts side by side. Cells where the knob is inert
-	// (centralized baselines, and r = 2's paper wire format) collapse the
-	// axis to its first entry.
-	Gathers []string `json:"gathers,omitempty"`
 	// LocalSolver picks the Phase-II leader solver of the MVC algorithms:
 	// "" or "kernel-exact" (the default kernelize-then-solve ladder of
 	// internal/kernel: reduction rules, bounded branch and bound, local-
-	// ratio fallback), "exact" (the legacy raw branch and bound, exponential
-	// worst case — the pre-kernel default), or "five-thirds" (Corollary 17's
-	// polynomial 5/3-approximation). Sparse thousand-node sweeps that hand
+	// ratio fallback) or "five-thirds" (Corollary 17's polynomial
+	// 5/3-approximation). Sparse thousand-node sweeps that hand
 	// the leader essentially all of Gʳ — the randomized variants' usual
 	// fate — are exactly what "kernel-exact" exists for; MDS and the
 	// centralized baselines ignore the knob.
@@ -160,10 +143,10 @@ type Job struct {
 	MaxRounds       int    `json:"maxRounds,omitempty"`
 	Shards          int    `json:"shards,omitempty"`
 	LocalSolver     string `json:"localSolver,omitempty"`
-	// Gather is the generalized Phase-II gather mode ("" = "sparsified",
-	// "legacy" pins the all-incident-edges path). Like the shard count it
-	// never enters seed derivation: both modes replay the identical run
-	// and must produce the same solution.
+	// Gather must be "" or "sparsified", the one generalized Phase-II
+	// gather; any other value fails the job (see CheckGather). Like Engine
+	// it stays so existing payloads that name it keep working, and it
+	// never influences the derived seed.
 	Gather string `json:"gather,omitempty"`
 }
 
@@ -224,11 +207,6 @@ func (s *Spec) Validate() error {
 	if _, err := parseLocalSolver(s.LocalSolver); err != nil {
 		return err
 	}
-	for _, gm := range s.gathers() {
-		if _, err := parseGather(gm); err != nil {
-			return err
-		}
-	}
 	return nil
 }
 
@@ -251,13 +229,6 @@ func (s *Spec) epsilons() []float64 {
 		return []float64{0.5}
 	}
 	return s.Epsilons
-}
-
-func (s *Spec) gathers() []string {
-	if len(s.Gathers) == 0 {
-		return []string{""}
-	}
-	return s.Gathers
 }
 
 func (s *Spec) shardCounts() []int {
@@ -290,21 +261,9 @@ func (s *Spec) Expand() ([]Job, ExpandReport, error) {
 					if alg.NeedsEps {
 						epsGrid = s.epsilons()
 					}
-					// The gather axis only exists where the generalized
-					// Phase II runs: centralized baselines have no gather,
-					// and r = 2 always uses the paper's F-edge wire format.
-					gathers := s.gathers()
-					if alg.Model == ModelCentralized || r == 2 {
-						if len(gathers) > 1 {
-							rep.Skipped = append(rep.Skipped, fmt.Sprintf(
-								"%s × n=%d × r=%d: algorithm %s ignores the gather axis (ran once)",
-								gen.Key(), n, r, name))
-						}
-						gathers = gathers[:1]
-					}
 					// The shard axis only moves wall clock where a
 					// simulator runs; centralized baselines collapse it to
-					// its first entry, reported like the gather collapse.
+					// its first entry.
 					counts := s.shardCounts()
 					if alg.Model == ModelCentralized {
 						if len(counts) > 1 {
@@ -315,32 +274,27 @@ func (s *Spec) Expand() ([]Job, ExpandReport, error) {
 						counts = counts[:1]
 					}
 					for _, shards := range counts {
-						for _, gather := range gathers {
-							for _, eps := range epsGrid {
-								for t := 0; t < s.trials(); t++ {
-									j := Job{
-										Index:           len(jobs),
-										Generator:       gen,
-										N:               n,
-										Power:           r,
-										Algorithm:       name,
-										Epsilon:         eps,
-										Trial:           t,
-										OracleN:         s.OracleN,
-										BandwidthFactor: s.BandwidthFactor,
-										MaxRounds:       s.MaxRounds,
-										Shards:          shards,
-										LocalSolver:     s.LocalSolver,
-										Gather:          gather,
-									}
-									// Neither the shard count nor the gather
-									// mode is part of the seed: every
-									// (shards, gather) pair replays the same
-									// run.
-									j.Seed = deriveSeed(s.RootSeed, j.cellKey(), t)
-									j.InstanceSeed = deriveSeed(s.RootSeed, j.instanceKey(), t)
-									jobs = append(jobs, j)
+						for _, eps := range epsGrid {
+							for t := 0; t < s.trials(); t++ {
+								j := Job{
+									Index:           len(jobs),
+									Generator:       gen,
+									N:               n,
+									Power:           r,
+									Algorithm:       name,
+									Epsilon:         eps,
+									Trial:           t,
+									OracleN:         s.OracleN,
+									BandwidthFactor: s.BandwidthFactor,
+									MaxRounds:       s.MaxRounds,
+									Shards:          shards,
+									LocalSolver:     s.LocalSolver,
 								}
+								// The shard count is not part of the seed:
+								// every count replays the same run.
+								j.Seed = deriveSeed(s.RootSeed, j.cellKey(), t)
+								j.InstanceSeed = deriveSeed(s.RootSeed, j.instanceKey(), t)
+								jobs = append(jobs, j)
 							}
 						}
 					}

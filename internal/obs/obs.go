@@ -423,9 +423,8 @@ func (c *Collector) SpanSummary() string {
 // SpanMessages returns, per span name, the total network messages delivered
 // during completed spans of that name (summed over instances, computed from
 // the round-boundary snapshots the engines stamp on every mark). Like
-// SpanSummary it is a pure function of the seeded run, identical on every
-// engine — it is how the harness prices the Phase-II gather for
-// BENCH_sparsify.json's legacy-vs-sparsified comparison.
+// SpanSummary it is a pure function of the seeded run — it is how the
+// harness meters the Phase-II gather's own traffic (JobResult.GatherMsgs).
 func (c *Collector) SpanMessages() map[string]int64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()

@@ -250,7 +250,8 @@ func (inst *Instance) Churn(edits []graph.EdgeEdit) (*ChurnResult, error) {
 
 // SolveRequest selects one query against a resident graph. The zero values
 // of Power and Shards pick the defaults the sweep harness uses. Engine may
-// be "" or "batch", the one simulator engine; any other value is rejected.
+// be "" or "batch", the one simulator engine, and Gather "" or
+// "sparsified", the one Phase-II gather; any other value is rejected.
 type SolveRequest struct {
 	Algorithm string  `json:"algorithm"`
 	Power     int     `json:"power,omitempty"`
@@ -301,13 +302,14 @@ type SolveResponse struct {
 	Canceled bool   `json:"canceled,omitempty"`
 }
 
-// cacheKey canonicalizes a request for the per-version result cache. Engine
-// and Shards are left out: every accepted engine value names the same
-// engine, and the response is byte-identical at any shard count, so
-// requests differing only there share one cached answer. The version is
-// part of the key defensively (the map is already swapped on churn).
+// cacheKey canonicalizes a request for the per-version result cache. Engine,
+// Gather and Shards are left out: every accepted engine or gather value
+// names the same code path, and the response is byte-identical at any shard
+// count, so requests differing only there share one cached answer. The
+// version is part of the key defensively (the map is already swapped on
+// churn).
 func (inst *Instance) cacheKey(req SolveRequest, version uint64) string {
-	req.Engine, req.Shards = "", 0
+	req.Engine, req.Gather, req.Shards = "", "", 0
 	b, _ := json.Marshal(req)
 	return fmt.Sprintf("v%d:%s", version, b)
 }
@@ -319,10 +321,13 @@ func (inst *Instance) cacheKey(req SolveRequest, version uint64) string {
 // one snapshot, so the response's Version always labels the exact content it
 // was computed on even while churn runs concurrently.
 func (inst *Instance) Solve(ctx context.Context, req SolveRequest) (*SolveResponse, error) {
-	// Engine and Shards are validated here, not in the harness run: they
-	// stay out of the cache key, so a failure they caused must never be
+	// Engine, Gather and Shards are validated here, not in the harness run:
+	// they stay out of the cache key, so a failure they caused must never be
 	// cached under the key of a valid request.
 	if err := harness.CheckEngine(req.Engine); err != nil {
+		return nil, fmt.Errorf("serve: solve: %w", err)
+	}
+	if err := harness.CheckGather(req.Gather); err != nil {
 		return nil, fmt.Errorf("serve: solve: %w", err)
 	}
 	if req.Shards < 0 {

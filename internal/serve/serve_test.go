@@ -172,8 +172,9 @@ func TestServerSmokeGolden(t *testing.T) {
 }
 
 // TestSolveCacheIgnoresEngineAndShards: requests that differ only in the
-// engine name or the shard count produce byte-identical responses, so they
-// share one cache entry — the second and third solves are cache hits.
+// engine name, the gather name or the shard count produce byte-identical
+// responses, so they share one cache entry — every solve after the first is
+// a cache hit.
 func TestSolveCacheIgnoresEngineAndShards(t *testing.T) {
 	srv := New(Options{})
 	ts := httptest.NewServer(srv.Handler())
@@ -186,6 +187,7 @@ func TestSolveCacheIgnoresEngineAndShards(t *testing.T) {
 		{Algorithm: "mvc-congest", Epsilon: 0.5},
 		{Algorithm: "mvc-congest", Epsilon: 0.5, Engine: "batch"},
 		{Algorithm: "mvc-congest", Epsilon: 0.5, Shards: 2},
+		{Algorithm: "mvc-congest", Epsilon: 0.5, Gather: "sparsified"},
 	} {
 		status, body := doJSON(t, ts, "POST", "/v1/graphs/g/solve", req)
 		if status != http.StatusOK {
@@ -204,8 +206,8 @@ func TestSolveCacheIgnoresEngineAndShards(t *testing.T) {
 			t.Fatalf("request %d body differs:\n got: %s\nwant: %s", i, bodies[i], bodies[0])
 		}
 	}
-	if st := srv.instance("g").Info().Stats; st.Solves != 1 || st.CacheHits != 2 {
-		t.Fatalf("stats = %+v, want 1 solve and 2 cache hits", st)
+	if st := srv.instance("g").Info().Stats; st.Solves != 1 || st.CacheHits != 3 {
+		t.Fatalf("stats = %+v, want 1 solve and 3 cache hits", st)
 	}
 }
 
@@ -257,6 +259,11 @@ func TestServerValidation(t *testing.T) {
 	status, body = doJSON(t, ts, "POST", "/v1/graphs/g/solve", SolveRequest{Algorithm: "mvc-congest", Epsilon: 0.5, Engine: "goroutine"})
 	if msg, _ := body["error"].(string); status != http.StatusBadRequest || !strings.Contains(msg, "engine option was removed") {
 		t.Errorf("goroutine engine: HTTP %d %v", status, body)
+	}
+	// The removed legacy gather is rejected the same way.
+	status, body = doJSON(t, ts, "POST", "/v1/graphs/g/solve", SolveRequest{Algorithm: "mvc-congest", Power: 3, Epsilon: 0.5, Gather: "legacy"})
+	if msg, _ := body["error"].(string); status != http.StatusBadRequest || !strings.Contains(msg, "gather option was removed") {
+		t.Errorf("legacy gather: HTTP %d %v", status, body)
 	}
 	status, _ = doJSON(t, ts, "POST", "/v1/graphs/g/solve", SolveRequest{Algorithm: "mvc-congest", Epsilon: 0.5, Shards: -1})
 	if status != http.StatusBadRequest {
